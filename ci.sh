@@ -57,6 +57,11 @@
 #      engine. Then `perf_throughput --plan` gates the ≥2x trial
 #      saving and the declared interpolation error bound on a 24-cell
 #      sweep.
+#  11. Repository benchmark build gate: twbench (its own package, built
+#      against the simulator crates by path) must pass its self-tests
+#      and finish a 1-second traced `hit-heavy` smoke run whose result
+#      line reports `"correct": true` and `"failed": 0`. An engine API
+#      change that breaks the benchmark fails here. No timing is gated.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -395,5 +400,20 @@ grep -q "$full_digest" results/server_planner_killswitch.txt || {
 # The planner perf gate: >=2x fewer trap-simulated trials on a 24-cell
 # sweep, every interpolated cell within its declared error bound.
 ./target/release/perf_throughput --plan
+
+echo "=== tier 2: repository benchmark builds and runs ==="
+cargo test -q --release --offline --manifest-path twbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path twbench/Cargo.toml -- \
+  --workload hit-heavy --seed 1 --seconds 1 --trace 1 > results/twbench_smoke.txt
+tail -n 1 results/twbench_smoke.txt > results/twbench_smoke_result.json
+grep -q '"correct": true' results/twbench_smoke_result.json || {
+  echo "ci.sh: twbench smoke run is not correct:" >&2
+  cat results/twbench_smoke_result.json >&2; exit 1;
+}
+grep -q '"failed": 0[,}]' results/twbench_smoke_result.json || {
+  echo "ci.sh: twbench smoke run reports failed operations:" >&2
+  cat results/twbench_smoke_result.json >&2; exit 1;
+}
+echo "ci.sh: twbench smoke ok"
 
 echo "ci.sh: all gates passed"

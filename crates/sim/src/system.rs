@@ -924,20 +924,27 @@ impl<'c> Engine<'c> {
                         .cycles_until_tick()
                         .saturating_mul(1000)
                         .saturating_sub(self.cpi_acc_milli);
-                    let w_tick = if cpi == 0 {
-                        u64::MAX
-                    } else {
-                        (budget_milli - 1) / cpi
-                    };
                     // min(remaining, page, span) then min(tick) equals
                     // the stepwise min(remaining, page, tick) clipped to
                     // the span: clean_span already clips to max_words.
-                    let cap = span_words.min(w_tick);
+                    // When the whole span fits under the tick
+                    // (span·cpi < budget, so span·cpi ≤ budget − 1 and
+                    // span ≤ ⌊(budget − 1)/cpi⌋; always so for cpi = 0)
+                    // the tick bound cannot clip and the division is
+                    // skipped. The product saturates, so an overflow
+                    // only sends the chunk to the division.
+                    let cap = if span_words.saturating_mul(cpi) < budget_milli {
+                        span_words
+                    } else {
+                        span_words.min((budget_milli - 1) / cpi)
+                    };
                     if cap >= w {
                         // Align the batch end to a slow-path iteration
                         // boundary: the first (possibly partial) chunk
-                        // plus whole chunks only.
-                        let chunks = 1 + (cap - w) / chunk_words;
+                        // plus whole chunks only. A chunk is one line,
+                        // a power of two, so the quotient is a shift.
+                        debug_assert!(chunk_words.is_power_of_two());
+                        let chunks = 1 + ((cap - w) >> chunk_words.trailing_zeros());
                         let batch = w + (chunks - 1) * chunk_words;
                         if !self
                             .machine
@@ -1332,7 +1339,12 @@ impl<'c> Engine<'c> {
                 if self.users.is_empty() {
                     return Ok(0);
                 }
-                self.next_user %= self.users.len();
+                // The cursor moves by one per quantum and an exit only
+                // shrinks the list under it, so it is usually in range:
+                // reduce it (the same remainder) only when it is not.
+                if self.next_user >= self.users.len() {
+                    self.next_user %= self.users.len();
+                }
                 let idx = self.next_user;
                 let run = self.users[idx].stream.next_run();
                 let tid = self.users[idx].tid;
@@ -1502,8 +1514,10 @@ impl<'c> Engine<'c> {
             .filter(|(c, w)| *w > 0 && self.budgets[c.index()] > 0)
             .map(|&(c, w)| (c, i64::from(w), 0i64))
             .collect();
+        // The weight total changes only when a component leaves, so it
+        // is summed again only after a `retain`.
+        let mut total: i64 = wrr.iter().map(|(_, w, _)| w).sum();
         while !wrr.is_empty() {
-            let total: i64 = wrr.iter().map(|(_, w, _)| w).sum();
             for e in &mut wrr {
                 e.2 += e.1;
             }
@@ -1522,6 +1536,7 @@ impl<'c> Engine<'c> {
             }
             if executed == 0 || self.budgets[component.index()] == 0 {
                 wrr.retain(|(c, ..)| *c != component);
+                total = wrr.iter().map(|(_, w, _)| w).sum();
             }
         }
 

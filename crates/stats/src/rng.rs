@@ -46,6 +46,16 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Bits of precision of [`Rng::next_f64`]: its variates are the
+/// multiples of 2⁻⁵³ in `[0, 1)`.
+pub(crate) const GRID_BITS: u32 = 53;
+
+/// The variate `k · 2⁻⁵³` for a grid integer `k < 2⁵³` (exact).
+#[inline]
+pub(crate) fn grid_f64(k: u64) -> f64 {
+    k as f64 * (1.0 / (1u64 << GRID_BITS) as f64)
+}
+
 impl Rng {
     /// Creates a generator whose stream is a pure function of `seed`.
     pub fn from_seed(seed: u64) -> Self {
@@ -63,7 +73,15 @@ impl Rng {
 
     /// Draws a uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        grid_f64(self.next_grid())
+    }
+
+    /// Draws the integer behind the next [`Rng::next_f64`] variate:
+    /// `grid_f64(self.next_grid())` is that variate, bit for bit, and
+    /// consumes the same single `next_u64`.
+    #[inline]
+    pub(crate) fn next_grid(&mut self) -> u64 {
+        self.next_u64() >> (64 - GRID_BITS)
     }
 
     /// Draws a value uniformly from `range` (`a..b` or `a..=b`).

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::rng::Rng;
+use crate::rng::{grid_f64, Rng, GRID_BITS};
 
 /// Parameters for [`Zipf::new`] were invalid.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,6 +35,11 @@ impl Error for ZipfError {}
 /// combination that gives the miss-ratio-vs-cache-size curves their
 /// characteristic knee.
 ///
+/// Sampling is inverse-CDF through a guide table (the "cutpoint" method
+/// of Chen & Asau, 1974): O(1) expected work per draw, and the same rank
+/// the plain CDF search returns for every variate (see
+/// [`Zipf::rank_for`]).
+///
 /// # Examples
 ///
 /// ```
@@ -49,7 +54,19 @@ impl Error for ZipfError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank whose CDF entry exceeds `j / m`,
+    /// for the `m = guide.len()` equal buckets of `[0, 1)`.
+    guide: Vec<u32>,
+    /// `53 − log2 m`: a grid variate `k · 2⁻⁵³` lies in bucket
+    /// `k >> shift`, and on its floor when the low `shift` bits are 0.
+    shift: u32,
 }
+
+/// Guide buckets per rank, once the rank count is rounded up to a power
+/// of two. A bucket that straddles a CDF entry needs a data-dependent scan step,
+/// whose exit branch the host mispredicts about half the time; with
+/// eight buckets per rank at most one draw in eight lands in one.
+const BUCKETS_PER_RANK: usize = 8;
 
 impl Zipf {
     /// Builds a sampler over `n` ranks with exponent `s`.
@@ -82,7 +99,26 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Ok(Zipf { cdf })
+        Ok(Self::from_cdf(cdf))
+    }
+
+    /// Builds the guide table over a non-empty, non-decreasing CDF that
+    /// ends at 1.0.
+    fn from_cdf(cdf: Vec<f64>) -> Self {
+        let m = cdf.len().next_power_of_two() * BUCKETS_PER_RANK;
+        let shift = GRID_BITS - m.trailing_zeros();
+        // Bucket floors j/m are exact (m is a power of two), and the
+        // CDF ends at 1.0 > j/m, so the cursor never runs off the end.
+        let mut guide = Vec::with_capacity(m);
+        let mut rank = 0usize;
+        for j in 0..m {
+            let floor = j as f64 / m as f64;
+            while cdf[rank] <= floor {
+                rank += 1;
+            }
+            guide.push(u32::try_from(rank).expect("zipf ranks fit in u32"));
+        }
+        Zipf { cdf, guide, shift }
     }
 
     /// Number of ranks in the domain.
@@ -96,37 +132,77 @@ impl Zipf {
         self.cdf.is_empty()
     }
 
-    /// Draws one rank in `0..self.len()`.
+    /// Draws one rank in `0..self.len()`: the rank
+    /// [`Zipf::rank_for`] gives the variate `rng.next_f64()` would
+    /// return, from the same single `next_u64`.
+    #[inline]
     pub fn sample(&self, rng: &mut Rng) -> usize {
-        let u = rng.next_f64();
-        self.rank_for(u)
+        self.rank_at(rng.next_grid())
     }
 
     /// Maps a uniform variate in `[0, 1)` to a rank; exposed for
     /// deterministic replay in tests.
     ///
-    /// Zipf mass concentrates in the lowest ranks, so the hot path is a
-    /// short linear scan over the head of the CDF — for the skewed
-    /// exponents the workloads use, most draws resolve in the first few
-    /// always-cached, perfectly-predicted compares. Variates past the
-    /// head fall back to the library binary search over the whole
-    /// slice, whose result the scan provably agrees with: the scan only
-    /// answers when it finds the first entry *strictly above* the
-    /// variate with no exact match before it — exactly the insertion
-    /// point `binary_search_by` would report. Exact equality (possible
-    /// but vanishingly rare: the variate is a 53-bit-grid value) takes
-    /// the fallback so duplicate-entry resolution stays bit-for-bit.
+    /// The rank is the CDF inverse: the first rank whose entry exceeds
+    /// `u` (the library binary search over the whole CDF decides when
+    /// an entry equals `u`). Variates on the 2⁻⁵³ grid that
+    /// [`Rng::next_f64`] draws from take the guide table, which finds
+    /// the same rank in O(1) expected steps; any other value goes to
+    /// the binary search directly.
     pub fn rank_for(&self, u: f64) -> usize {
-        let cdf = &self.cdf;
-        let head = cdf.len().min(8);
-        for (i, &c) in cdf[..head].iter().enumerate() {
-            if c == u {
-                break; // equal entry: the library search resolves it
-            }
+        // Scaling by a power of two is exact, so `x` is an integer
+        // below 2⁵³ exactly when `u` is a grid variate.
+        let x = u * (1u64 << GRID_BITS) as f64;
+        if (0.0..(1u64 << GRID_BITS) as f64).contains(&x) && (x as u64) as f64 == x {
+            self.rank_at(x as u64)
+        } else {
+            self.search(u)
+        }
+    }
+
+    /// The rank of the grid variate `k · 2⁻⁵³`.
+    #[inline]
+    fn rank_at(&self, k: u64) -> usize {
+        match self.guided(k) {
+            Some(rank) => rank,
+            None => self.search(grid_f64(k)),
+        }
+    }
+
+    /// The guide-table lookup for the grid variate `u = k · 2⁻⁵³`, in
+    /// bucket `j = k >> shift`. Every rank before `guide[j]` has an
+    /// entry `≤ j/m`; when `u` lies strictly inside the bucket those
+    /// entries are all `< u`, so the forward scan, stopping at the first
+    /// entry `> u` having met none equal to `u`, stops at exactly the
+    /// insertion point the binary search reports. The two cases that
+    /// argument does not cover answer `None` for the search to decide:
+    /// a variate on a bucket floor (an earlier entry may equal it) and a
+    /// scan that meets an entry equal to the variate (the search picks
+    /// among equal entries, so duplicates resolve bit for bit).
+    #[inline]
+    fn guided(&self, k: u64) -> Option<usize> {
+        if k & ((1u64 << self.shift) - 1) == 0 {
+            return None;
+        }
+        let u = grid_f64(k);
+        let start = self.guide[(k >> self.shift) as usize] as usize;
+        for (rank, &c) in self.cdf[start..].iter().enumerate() {
             if c > u {
-                return i;
+                return Some(start + rank);
+            }
+            if c == u {
+                return None;
             }
         }
+        None
+    }
+
+    /// The reference inverse: binary search over the whole CDF. Only
+    /// bucket floors, entries equal to the variate and variates off the
+    /// grid reach it.
+    #[cold]
+    fn search(&self, u: f64) -> usize {
+        let cdf = &self.cdf;
         match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite")) {
             Ok(i) => (i + 1).min(cdf.len() - 1),
             Err(i) => i.min(cdf.len() - 1),
@@ -146,6 +222,9 @@ impl Zipf {
         }
     }
 }
+
+#[cfg(test)]
+mod exactness;
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 //! switches: `SystemConfig::with_fast_path(false)` and the `TW_FAST=0`
 //! environment knob.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::CounterId;
@@ -22,12 +22,17 @@ use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
 
-/// Serializes the tests that read or write `TW_FAST`: the env var is
-/// process-global, and the engagement assertions below would misfire if
-/// another test flipped it mid-run. (The *results* are env-independent
-/// by construction — that is the point of this file — so the
-/// equivalence tests need no lock.)
+/// Serializes every test that runs the engine: `TW_FAST` is
+/// process-global, so the engagement assertions would misfire if
+/// another test flipped it mid-run, and an equivalence test running
+/// beside `TW_FAST=0` would compare the slow path against itself.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
+/// (the guarded data is `()`, so a poisoned lock carries no bad state).
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn dm(kb: u64) -> CacheConfig {
     CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
@@ -77,6 +82,7 @@ fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
 /// fast-path tallies, which legitimately differ.)
 #[test]
 fn fast_path_is_bit_identical_to_slow_path() {
+    let _guard = env_lock();
     for (label, cfg) in modes() {
         let slow_cfgs = vec![cfg.clone().with_fast_path(false)];
         let fast_cfgs = vec![cfg];
@@ -125,7 +131,7 @@ fn fast_path_is_bit_identical_to_slow_path() {
 /// the excluded modes or when disabled.
 #[test]
 fn fast_path_engages_exactly_where_expected() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
+    let _guard = env_lock();
     std::env::remove_var("TW_FAST");
     let base = SeedSeq::new(1994);
     let trial = base.derive("fast", 0).derive("trial", 0);
@@ -164,7 +170,7 @@ fn fast_path_engages_exactly_where_expected() {
 /// (observable in the counters) without perturbing any result.
 #[test]
 fn tw_fast_env_knob_forces_the_slow_path() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
+    let _guard = env_lock();
     let base = SeedSeq::new(1994);
     let trial = base.derive("fast", 0).derive("trial", 0);
     let cfg = SystemConfig::cache(Workload::Espresso, dm(4)).with_scale(SCALE);

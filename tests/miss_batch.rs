@@ -12,7 +12,7 @@
 //! `SystemConfig::with_miss_batch(false)` and the `TW_BATCH=0`
 //! environment knob.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::CounterId;
@@ -24,12 +24,18 @@ use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
 
-/// Serializes the tests that read or write `TW_BATCH`: the env var is
+/// Serializes every test that runs the engine: `TW_BATCH` is
 /// process-global and is sampled at system construction, so the
 /// engagement assertions would misfire if another test flipped it
-/// mid-run. (The *results* are env-independent by construction — that
-/// is the point of this file — so the equivalence tests need no lock.)
+/// mid-run, and an equivalence test running beside `TW_BATCH=0` would
+/// compare stepwise against stepwise.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
+/// (the guarded data is `()`, so a poisoned lock carries no bad state).
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn dm(kb: u64) -> CacheConfig {
     CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
@@ -95,6 +101,7 @@ fn batch_bookkeeping(id: CounterId) -> bool {
 /// modulo the batch bookkeeping, which legitimately differs.)
 #[test]
 fn miss_batch_is_bit_identical_to_stepwise() {
+    let _guard = env_lock();
     for (label, cfg) in modes() {
         let stepwise_cfgs = vec![cfg.clone().with_miss_batch(false)];
         let batched_cfgs = vec![cfg];
@@ -129,6 +136,7 @@ fn miss_batch_is_bit_identical_to_stepwise() {
 /// results.
 #[test]
 fn miss_batch_preserves_ring_event_timestamps() {
+    let _guard = env_lock();
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
     for (label, cfg) in modes() {
@@ -154,7 +162,7 @@ fn miss_batch_preserves_ring_event_timestamps() {
 /// the config knob.
 #[test]
 fn miss_batch_engages_exactly_where_expected() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
+    let _guard = env_lock();
     std::env::remove_var("TW_BATCH");
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
@@ -191,7 +199,7 @@ fn miss_batch_engages_exactly_where_expected() {
 /// result, mirroring `TW_FAST=0` for the resident-run fast path.
 #[test]
 fn tw_batch_env_knob_forces_stepwise_servicing() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
+    let _guard = env_lock();
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
     let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4))

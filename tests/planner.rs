@@ -14,7 +14,7 @@
 //! Plus the kill switch: `TW_PLAN=0` restores exact engine behavior no
 //! matter what the caller asked for.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use tapeworm::core::{CacheConfig, Indexing};
 use tapeworm::sim::{
@@ -24,8 +24,16 @@ use tapeworm::sim::{
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
-/// Serializes tests that touch the `TW_PLAN` process environment.
+/// Serializes every test that runs the planner: the kill-switch test
+/// sets `TW_PLAN` process-wide, and a planned sweep running beside it
+/// would read the forced mode instead of the one it asked for.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
+/// (the guarded data is `()`, so a poisoned lock carries no bad state).
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const BASE_SEED: u64 = 1994;
 
@@ -84,6 +92,7 @@ fn full_sweep(configs: &[SystemConfig], trials: usize) -> (Vec<TrialOutcome>, Ve
 /// summaries for TW_THREADS-equivalent worker counts 1, 4 and 8.
 #[test]
 fn full_mode_is_bit_identical_to_the_engine_for_all_thread_counts() {
+    let _guard = env_lock();
     let configs = tab9_grid();
     let trials = 4;
     let (engine, engine_cells) = full_sweep(&configs, trials);
@@ -130,6 +139,7 @@ fn full_mode_is_bit_identical_to_the_engine_for_all_thread_counts() {
 /// same encoding. CI bound 0 isolates pure pruning (no early stops).
 #[test]
 fn pruned_simulated_cells_are_bit_identical_to_the_full_sweep() {
+    let _guard = env_lock();
     let configs = tab9_grid();
     let trials = 4;
     let (engine, _) = full_sweep(&configs, trials);
@@ -171,6 +181,7 @@ fn pruned_simulated_cells_are_bit_identical_to_the_full_sweep() {
 /// bound of the full sweep's measured mean, on both table shapes.
 #[test]
 fn interpolated_cells_stay_within_their_declared_bound() {
+    let _guard = env_lock();
     for (label, configs, trials) in [
         ("tab9-physical", tab9_grid(), 4usize),
         ("tab8-virtual-sampled", tab8_grid(8), 4),
@@ -213,6 +224,7 @@ fn interpolated_cells_stay_within_their_declared_bound() {
 /// exercises real spread.
 #[test]
 fn early_stopped_cells_cover_the_full_trial_mean() {
+    let _guard = env_lock();
     let trials = 8;
     let mut early_stops_seen = 0;
     for (label, configs, bound, must_stop) in [
@@ -266,7 +278,7 @@ fn early_stopped_cells_cover_the_full_trial_mean() {
 /// request, and unset leaves the caller's choice alone.
 #[test]
 fn tw_plan_kill_switch_overrides_the_requested_mode() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
+    let _guard = env_lock();
     let configs = tab9_grid();
     let trials = 3;
     let (engine, _) = full_sweep(&configs, trials);

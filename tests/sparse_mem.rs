@@ -12,7 +12,7 @@
 //! and property-tests the chunk materialization/dedup invariants and
 //! the checkpoint codec's sparse trap-state round trip.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::mem::{PhysAddr, SparseVec, TrapMap, CHUNK_BYTES};
@@ -26,10 +26,17 @@ use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
 
-/// Serializes the tests that read or write `TW_SPARSE`: the env var is
-/// process-global, and the engagement assertions below would misfire
-/// if another test flipped it mid-run.
+/// Serializes every test that runs the engine: `TW_SPARSE` is
+/// process-global, so the engagement assertions would misfire if
+/// another test flipped it mid-run, and an equivalence test running
+/// beside `TW_SPARSE=0` would compare dense against dense.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
+/// (the guarded data is `()`, so a poisoned lock carries no bad state).
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn dm(kb: u64) -> CacheConfig {
     CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
@@ -87,6 +94,7 @@ fn is_sparse_tally(id: CounterId) -> bool {
 /// backing, at 1, 4 and 8 worker threads.
 #[test]
 fn sparse_backing_is_bit_identical_to_dense() {
+    let _guard = env_lock();
     for (label, cfg) in modes() {
         let dense_cfgs = vec![cfg.clone().with_sparse_mem(false)];
         let sparse_cfgs = vec![cfg];
@@ -120,7 +128,7 @@ fn sparse_backing_is_bit_identical_to_dense() {
 /// never faults.
 #[test]
 fn sparse_backing_engages_in_every_mode() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
+    let _guard = env_lock();
     std::env::remove_var("TW_SPARSE");
     let base = SeedSeq::new(1994);
     let trial = base.derive("sparse", 0).derive("trial", 0);
@@ -160,7 +168,7 @@ fn sparse_backing_engages_in_every_mode() {
 /// backing (observable in the counters) without perturbing any result.
 #[test]
 fn tw_sparse_env_knob_forces_dense_backing() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
+    let _guard = env_lock();
     let base = SeedSeq::new(1994);
     let trial = base.derive("sparse", 0).derive("trial", 0);
     let cfg = SystemConfig::cache(Workload::Espresso, dm(4)).with_scale(SCALE);
