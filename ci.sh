@@ -77,13 +77,6 @@ cargo test -q --workspace
 echo "=== tier 2: warnings-as-errors (workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
 RUSTFLAGS="-D warnings" cargo check -q -p tapeworm-bench --features microbench --all-targets
-RUSTFLAGS="-D warnings" cargo check -q -p tapeworm-core --features sched-fuzz --all-targets
-
-echo "=== tier 2: miss-schedule signature fuzz (dependency-free) ==="
-# SplitMix64-perturbed entry states must never replay a schedule
-# recorded under different state — the honesty core of the
-# set-state/miss-schedule layer (crates/core/tests/sched_fuzz.rs).
-cargo test -q --release -p tapeworm-core --features sched-fuzz --test sched_fuzz
 
 echo "=== tier 2: perf_throughput gate run ==="
 ./target/release/perf_throughput --gate
@@ -214,18 +207,6 @@ cargo build -q --release -p tapeworm-bench --features microbench
 test -s results/MICROBENCH.json || { echo "ci.sh: results/MICROBENCH.json missing or empty" >&2; exit 1; }
 grep -q '"schema": "tapeworm-microbench-v1"' results/MICROBENCH.json || {
   echo "ci.sh: results/MICROBENCH.json has wrong schema id" >&2; exit 1;
-}
-
-echo "=== tier 2: miss-path microbench (informational) ==="
-# Decomposes the per-miss service cost: stepwise handler vs set-state
-# burst (recording) vs miss-schedule replay, plus the signature
-# verification and table-lookup primitives. Informational like the
-# trapset microbench: the tapeworm-microbench-v1 schema is gated, the
-# host-local nanoseconds are not.
-./target/release/microbench_miss
-test -s results/MICROBENCH_MISS.json || { echo "ci.sh: results/MICROBENCH_MISS.json missing or empty" >&2; exit 1; }
-grep -q '"schema": "tapeworm-microbench-v1"' results/MICROBENCH_MISS.json || {
-  echo "ci.sh: results/MICROBENCH_MISS.json has wrong schema id" >&2; exit 1;
 }
 
 echo "=== tier 2: memory-footprint gate (64 GiB simulated, sparse backing) ==="

@@ -102,9 +102,10 @@ struct ConfigCell {
     /// (whose misses vector through the translation path, not the
     /// valid-bit trap). The per-miss denominator.
     trap_entries: u64,
-    /// Wall nanoseconds per serviced miss — the number the
-    /// set-state/miss-schedule work moves, separated from the hit-path
-    /// throughput that `refs_per_sec` folds in. 0.0 when no misses.
+    /// Wall nanoseconds per serviced miss — the number miss-service
+    /// work (batched and set-state burst service) moves, separated
+    /// from the hit-path throughput that `refs_per_sec` folds in. 0.0
+    /// when no misses.
     ns_per_miss: f64,
 }
 

@@ -247,48 +247,6 @@ impl SimCache {
     pub fn indexing(&self) -> Indexing {
         self.cfg.indexing()
     }
-
-    // Raw set-state access for the scheduled burst path. The schedule
-    // records and verifies exact slot contents (every way of a touched
-    // set, plus the FIFO cursor), so these expose the state directly
-    // without rerunning the insert walk; semantics stay pinned to
-    // `insert` by the miss-schedule differential suite.
-
-    /// The line (if any) in flat slot `i` (`set * ways + way`).
-    #[inline]
-    pub(crate) fn slot_line(&self, i: usize) -> Option<CacheLine> {
-        self.slots[i].line
-    }
-
-    /// Replaces flat slot `i`'s line, returning the prior occupant.
-    /// Callers account `resident` via [`SimCache::note_fill`] when the
-    /// prior occupant was `None`.
-    #[inline]
-    pub(crate) fn slot_replace(&mut self, i: usize, line: CacheLine) -> Option<CacheLine> {
-        self.slots[i].line.replace(line)
-    }
-
-    /// Counts one fill of a previously empty slot.
-    #[inline]
-    pub(crate) fn note_fill(&mut self) {
-        self.resident += 1;
-    }
-
-    /// The FIFO cursor for `set` (the way the next displacement in a
-    /// full set would evict).
-    #[inline]
-    pub(crate) fn cursor(&self, set: usize) -> u32 {
-        self.cursors[set]
-    }
-
-    /// Returns the FIFO victim way for `set` and advances the cursor,
-    /// exactly as a full-set `insert` displacement would.
-    #[inline]
-    pub(crate) fn take_cursor(&mut self, set: usize) -> u32 {
-        let way = self.cursors[set];
-        self.cursors[set] = (way + 1) % self.cfg.associativity();
-        way
-    }
 }
 
 #[cfg(test)]

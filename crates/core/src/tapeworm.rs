@@ -9,10 +9,7 @@ use crate::cache::{CacheLine, SimCache};
 use crate::config::{CacheConfig, Indexing, Replacement};
 use crate::cost::CostModel;
 use crate::sampling::SetSample;
-use crate::schedule::{
-    BurstRequest, BurstServed, CursorCheck, MissSchedule, MissWrite, SchedEntry, SchedKey,
-    SlotCheck, WriteKind, KEY_WAYS, NO_ENTRY,
-};
+use crate::schedule::{BurstRequest, BurstServed, MissSchedule};
 use crate::stats::MissStats;
 
 /// The trap-driven cache simulator.
@@ -163,6 +160,12 @@ impl Tapeworm {
     /// The cost model in use.
     pub fn cost(&self) -> &CostModel {
         &self.cost
+    }
+
+    /// The simulated cache (resident lines, for diagnostics and
+    /// differential tests).
+    pub fn cache(&self) -> &SimCache {
+        &self.cache
     }
 
     /// Miss statistics.
@@ -341,16 +344,7 @@ impl Tapeworm {
         self.stats.count_miss(component);
         let line = self.cfg.line_bytes();
         traps.clear_range(pa.line_base(line), line);
-        self.last_victim = None;
-        if let Some(displaced) = self.tw_replace(tid, va, pa) {
-            self.last_victim = Some(displaced.pa);
-            // Re-arm the trap only while the displaced page is still
-            // registered (it always is — removal flushes — but shared
-            // teardown ordering makes the check cheap insurance).
-            if self.refs_of(Pfn::new(displaced.pa.raw() >> self.page_shift)) > 0 {
-                traps.set_range(displaced.pa, line);
-            }
-        }
+        self.insert_and_rearm(traps, tid, va, pa);
         let (handler, replacement) = self.miss_cost;
         self.handler_cycles += handler;
         self.replacement_cycles += replacement;
@@ -359,20 +353,38 @@ impl Tapeworm {
         cycles
     }
 
+    /// The table half of one miss, after its trap is cleared: insert
+    /// the line and re-arm the displaced line's trap. Sets
+    /// `last_victim`.
+    #[inline]
+    fn insert_and_rearm(&mut self, traps: &mut TrapMap, tid: Tid, va: VirtAddr, pa: PhysAddr) {
+        self.last_victim = None;
+        if let Some(displaced) = self.tw_replace(tid, va, pa) {
+            self.last_victim = Some(displaced.pa);
+            // Re-arm the trap only while the displaced page is still
+            // registered (it always is — removal flushes — but shared
+            // teardown ordering makes the check cheap insurance).
+            if self.refs_of(Pfn::new(displaced.pa.raw() >> self.page_shift)) > 0 {
+                traps.set_range(displaced.pa, self.cfg.line_bytes());
+            }
+        }
+    }
+
     /// Records a miss that was lost because interrupts were masked.
     pub fn note_masked_miss(&mut self) {
         self.stats.count_masked();
     }
 
-    /// `true` when this simulator's geometry admits the scheduled
-    /// burst path ([`Tapeworm::service_burst`]): a physically indexed
+    /// `true` when this simulator's geometry admits set-state burst
+    /// service ([`Tapeworm::service_burst`]): a physically indexed
     /// FIFO cache whose set span covers at least a page, so every
     /// granule of a page maps to a distinct set and a burst's victims
     /// always lie outside the frame being serviced (each set's only
     /// granule of that frame is the missing one itself). Random
-    /// replacement is excluded (a replay could not reproduce the RNG
-    /// draws it skips), as is virtual indexing (a victim there could
-    /// re-arm a granule ahead in the burst's own span).
+    /// replacement is excluded (the engine keeps its RNG-drawing
+    /// victims on the per-chunk loop), as is virtual indexing (a
+    /// victim there could re-arm a granule ahead in the burst's own
+    /// span, which the merged clear would then miss).
     #[inline]
     pub fn sched_eligible(&self) -> bool {
         self.cfg.indexing() == Indexing::Physical
@@ -380,22 +392,21 @@ impl Tapeworm {
             && self.cfg.sets() * self.cfg.line_bytes() >= self.page_bytes
     }
 
-    /// Services one whole trap burst against the set-state table,
-    /// replaying a recorded miss schedule when the burst's signature
-    /// matches a prior occurrence (see [`MissSchedule`] for the
-    /// signature soundness argument). The trapped-granule run is sized
+    /// Services one whole trap burst. The trapped-granule run is sized
     /// from a handful of bitmap word loads ([`TrapMap::trapped_run`]),
     /// clipped by the remaining words and the live tick budget exactly
     /// as the stepwise per-chunk pre-checks would, and the serviced
-    /// granules are disarmed in one merged `clear_range`.
+    /// granules are disarmed in one merged `clear_range`. Each granule
+    /// then takes the same insert-and-re-arm step as
+    /// [`Tapeworm::handle_miss`].
     ///
     /// Returns `None` when the burst is not serviceable here — clean
-    /// entry granule, budget-starved before the first chunk, or a key
-    /// field overflow — and the caller falls back to the stepwise
-    /// loop. Every produced outcome (counters, cycles, trap
-    /// transitions, set state, victims) is bit-identical to the
-    /// stepwise burst loop; `tests/miss_schedule.rs` pins this
-    /// differentially across all simulator modes.
+    /// entry granule, or budget-starved before the first chunk — and
+    /// the caller falls back to the stepwise loop. Every produced
+    /// outcome (counters, cycles, trap transitions, set state,
+    /// victims) is bit-identical to the stepwise burst loop;
+    /// `tests/miss_schedule.rs` pins this differentially across all
+    /// simulator modes.
     pub fn service_burst(
         &mut self,
         traps: &mut TrapMap,
@@ -414,12 +425,6 @@ impl Tapeworm {
         if run == 0 {
             return None; // entry granule clean: not a trap burst
         }
-        // Effective remaining words: clipping to the page changes
-        // nothing (the granule window already ends there) but makes
-        // the schedule key independent of run length beyond the page.
-        let eff_rem = req
-            .rem_words
-            .min((req.page_end_va - req.va.raw()) / WORD_BYTES);
         // Clip the run by remaining words and the tick budget,
         // replicating the stepwise per-chunk pre-checks exactly: the
         // budget check always prices the dilation overhead, masked
@@ -427,14 +432,12 @@ impl Tapeworm {
         let head_words = line_words - (req.va.raw() % line) / WORD_BYTES;
         let mut k = 0u64;
         let mut words = 0u64;
-        let mut rem = eff_rem;
+        let mut rem = req.rem_words;
         let mut budget = req.budget_milli;
-        let mut truncated = false;
         while k < run && rem > 0 {
             let bw = rem.min(if k == 0 { head_words } else { line_words });
             let cost = bw * req.cpi_milli + req.dilate_ov_milli;
             if cost >= budget {
-                truncated = true;
                 break;
             }
             budget -= if req.masked { bw * req.cpi_milli } else { cost };
@@ -445,6 +448,7 @@ impl Tapeworm {
         if k == 0 {
             return None; // budget-starved: the stepwise path delivers the tick
         }
+        sched.count_burst();
         if req.masked {
             // Masked bursts change no simulator state; the stepwise
             // loop only counts them.
@@ -453,18 +457,8 @@ impl Tapeworm {
                 chunks: k,
                 words,
                 overhead_cycles: 0,
-                replayed: false,
             });
         }
-        let key = SchedKey::pack(
-            req.va,
-            eff_rem,
-            req.pa.raw() >> self.page_shift,
-            req.tid,
-            req.component,
-        )?;
-        // The burst is committed: accounting identical whether the
-        // schedule replays or records.
         self.stats.count_misses(req.component, k);
         let (handler, replacement) = self.miss_cost;
         self.handler_cycles += handler * k;
@@ -478,279 +472,26 @@ impl Tapeworm {
         if req.want_victims {
             sched.victims.clear();
         }
-        let overwrite = if truncated {
-            // A truncated shape depends on the live tick budget and is
-            // never cached.
-            None
-        } else {
-            match sched.map.get(&key).copied() {
-                Some(pair) => {
-                    for (way, idx) in pair.into_iter().enumerate() {
-                        if idx == NO_ENTRY {
-                            continue;
-                        }
-                        let e = sched.entries[idx as usize];
-                        if u64::from(e.k) == k
-                            && u64::from(e.words) == words
-                            && self.verify_schedule(sched, e)
-                        {
-                            if way > 0 {
-                                // Promote to most-recent so a later
-                                // sig miss evicts the stalest shape.
-                                let mut next = pair;
-                                next.copy_within(..way, 1);
-                                next[0] = idx;
-                                sched.map.insert(key, next);
-                            }
-                            self.replay_schedule(traps, sched, e, req);
-                            sched.count_replay();
-                            return Some(BurstServed {
-                                chunks: k,
-                                words,
-                                overhead_cycles,
-                                replayed: true,
-                            });
-                        }
-                    }
-                    sched.count_sig_miss();
-                    Some(pair)
-                }
-                None => None,
-            }
-        };
-        self.record_burst(traps, sched, req, key, k, words, truncated, overwrite);
-        Some(BurstServed {
-            chunks: k,
-            words,
-            overhead_cycles,
-            replayed: false,
-        })
-    }
-
-    /// `true` when every recorded slot and cursor still holds exactly
-    /// what it held when the schedule was recorded — the set-state
-    /// half of the replay signature.
-    #[inline]
-    fn verify_schedule(&self, sched: &MissSchedule, e: SchedEntry) -> bool {
-        for c in &sched.checks[e.checks.0 as usize..e.checks.1 as usize] {
-            if self.cache.slot_line(c.slot as usize) != c.line {
-                return false;
-            }
-        }
-        for c in &sched.cursor_checks[e.cursor_checks.0 as usize..e.cursor_checks.1 as usize] {
-            if self.cache.cursor(c.set as usize) != c.cursor {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Applies a verified schedule: slot writes, victim re-arms and
-    /// FIFO cursor advances, with zero probes and zero victim
-    /// re-derivation. The victims are read back from the verified
-    /// slots themselves, so nothing address-shaped is stored per miss
-    /// beyond the write kind.
-    fn replay_schedule(
-        &mut self,
-        traps: &mut TrapMap,
-        sched: &mut MissSchedule,
-        e: SchedEntry,
-        req: &BurstRequest,
-    ) {
-        let line = self.cfg.line_bytes();
-        let ways = self.cfg.associativity();
-        let base_va = req.va.line_base(line).raw();
-        let base_pa = req.pa.line_base(line).raw();
-        // The victim scratch moves out for the loop so the recorded
-        // writes can be iterated as a slice (one bounds check).
-        let mut victims = std::mem::take(&mut sched.victims);
-        for (i, w) in sched.writes[e.writes.0 as usize..e.writes.1 as usize]
-            .iter()
-            .enumerate()
-        {
-            let i = i as u64;
-            self.last_victim = None;
-            let entry = CacheLine {
-                tid: req.tid,
-                va: VirtAddr::new(base_va + i * line),
-                pa: PhysAddr::new(base_pa + i * line),
-            };
-            match w.kind {
-                WriteKind::Refresh => {}
-                WriteKind::Fill => {
-                    let prior = self.cache.slot_replace(w.slot as usize, entry);
-                    debug_assert!(prior.is_none(), "verified empty slot was occupied");
-                    self.cache.note_fill();
-                }
-                WriteKind::Displace | WriteKind::DisplaceRetrap => {
-                    if ways > 1 {
-                        let set = w.slot / ways;
-                        let way = self.cache.take_cursor(set as usize);
-                        debug_assert_eq!(set * ways + way, w.slot, "verified cursor moved");
-                    }
-                    let prior = self
-                        .cache
-                        .slot_replace(w.slot as usize, entry)
-                        .expect("verified full slot was empty");
-                    if w.kind == WriteKind::DisplaceRetrap {
-                        traps.set_range(prior.pa, line);
-                    }
-                    debug_assert_eq!(
-                        w.kind == WriteKind::DisplaceRetrap,
-                        self.refs_of(Pfn::new(prior.pa.raw() >> self.page_shift)) > 0,
-                        "victim registration state changed under an unchanged set state"
-                    );
-                    self.last_victim = Some(prior.pa);
-                }
-            }
-            if req.want_victims {
-                victims.push(self.last_victim.map_or(0, |p| p.raw() + 1));
-            }
-        }
-        sched.victims = victims;
-    }
-
-    /// Services the burst against the set-state table one
-    /// stepwise-equivalent step at a time, appending the outcome to
-    /// the schedule unless the burst was budget-truncated.
-    #[allow(clippy::too_many_arguments)]
-    fn record_burst(
-        &mut self,
-        traps: &mut TrapMap,
-        sched: &mut MissSchedule,
-        req: &BurstRequest,
-        key: SchedKey,
-        k: u64,
-        words: u64,
-        truncated: bool,
-        overwrite: Option<[u32; KEY_WAYS]>,
-    ) {
-        let line = self.cfg.line_bytes();
-        let ways = self.cfg.associativity() as usize;
-        let cache_it = !truncated;
-        let mut overwrite = overwrite;
-        if cache_it && sched.at_capacity() {
-            // Deterministic wholesale reset keeps the store bounded.
-            sched.reset_store();
-            overwrite = None;
-        }
-        let checks0 = sched.checks.len() as u32;
-        let cursors0 = sched.cursor_checks.len() as u32;
-        let writes0 = sched.writes.len() as u32;
         let base_va = req.va.line_base(line).raw();
         let base_pa = req.pa.line_base(line).raw();
         for i in 0..k {
-            let va_i = VirtAddr::new(base_va + i * line);
-            let pa_i = PhysAddr::new(base_pa + i * line);
-            let entry = CacheLine {
-                tid: req.tid,
-                va: va_i,
-                pa: pa_i,
-            };
-            let set = self.cfg.set_of(va_i, pa_i) as usize;
-            let slot0 = set * ways;
-            // Snapshot every way: the signature the next replay of
-            // this key must match verbatim.
-            let mut dup = false;
-            let mut empty = None;
-            for w in 0..ways {
-                let cur = self.cache.slot_line(slot0 + w);
-                if cache_it {
-                    sched.checks.push(SlotCheck {
-                        slot: (slot0 + w) as u32,
-                        line: cur,
-                    });
-                }
-                if cur == Some(entry) {
-                    dup = true;
-                } else if cur.is_none() && empty.is_none() {
-                    empty = Some(w);
-                }
-            }
-            self.last_victim = None;
-            let (kind, slot) = if dup {
-                // Aliased duplicate: refresh, no displacement.
-                (WriteKind::Refresh, slot0 as u32)
-            } else if let Some(w) = empty {
-                let prior = self.cache.slot_replace(slot0 + w, entry);
-                debug_assert!(prior.is_none());
-                self.cache.note_fill();
-                (WriteKind::Fill, (slot0 + w) as u32)
-            } else {
-                let way = if ways == 1 {
-                    0
-                } else {
-                    if cache_it {
-                        sched.cursor_checks.push(CursorCheck {
-                            set: set as u32,
-                            cursor: self.cache.cursor(set),
-                        });
-                    }
-                    self.cache.take_cursor(set) as usize
-                };
-                let prior = self
-                    .cache
-                    .slot_replace(slot0 + way, entry)
-                    .expect("full set has no empty way");
-                let retrap = self.refs_of(Pfn::new(prior.pa.raw() >> self.page_shift)) > 0;
-                if retrap {
-                    traps.set_range(prior.pa, line);
-                }
-                self.last_victim = Some(prior.pa);
-                let kind = if retrap {
-                    WriteKind::DisplaceRetrap
-                } else {
-                    WriteKind::Displace
-                };
-                (kind, (slot0 + way) as u32)
-            };
+            self.insert_and_rearm(
+                traps,
+                req.tid,
+                VirtAddr::new(base_va + i * line),
+                PhysAddr::new(base_pa + i * line),
+            );
             if req.want_victims {
                 sched
                     .victims
                     .push(self.last_victim.map_or(0, |p| p.raw() + 1));
             }
-            if cache_it {
-                sched.writes.push(MissWrite { slot, kind });
-            }
         }
-        if cache_it {
-            let e = SchedEntry {
-                k: k as u32,
-                words: words as u32,
-                checks: (checks0, sched.checks.len() as u32),
-                cursor_checks: (cursors0, sched.cursor_checks.len() as u32),
-                writes: (writes0, sched.writes.len() as u32),
-            };
-            // The new schedule becomes the key's most-recent way; the
-            // older of the two existing ways is evicted (its entry
-            // slot reused, its arena ranges leaked until the capacity
-            // reset reclaims them wholesale).
-            match overwrite {
-                Some(pair) => {
-                    let evict = pair[KEY_WAYS - 1];
-                    let idx = if evict == NO_ENTRY {
-                        let idx = sched.entries.len() as u32;
-                        sched.entries.push(e);
-                        idx
-                    } else {
-                        sched.entries[evict as usize] = e;
-                        evict
-                    };
-                    let mut next = pair;
-                    next.copy_within(..KEY_WAYS - 1, 1);
-                    next[0] = idx;
-                    sched.map.insert(key, next);
-                }
-                None => {
-                    let idx = sched.entries.len() as u32;
-                    sched.entries.push(e);
-                    let mut pair = [NO_ENTRY; KEY_WAYS];
-                    pair[0] = idx;
-                    sched.map.insert(key, pair);
-                }
-            }
-            sched.count_record();
-        }
+        Some(BurstServed {
+            chunks: k,
+            words,
+            overhead_cycles,
+        })
     }
 
     /// Dispatches a VM-system event to the matching primitive,

@@ -77,14 +77,15 @@ pub enum CounterId {
     /// Simulated cells whose trial loop stopped early because the
     /// running confidence interval closed below the configured bound.
     CiEarlyStops,
-    /// Trap bursts answered by replaying a recorded miss schedule
-    /// (signature verified against live trap-run shape and set state).
+    /// Retired: miss-schedule replay no longer exists. The slot stays
+    /// because the checkpoint and wire codecs index counters by slot;
+    /// it always reads 0.
     SchedReplays,
-    /// Trap bursts serviced through the set-state table and recorded
-    /// into the per-trial miss-schedule cache.
+    /// Trap bursts handled by set-state burst service
+    /// (`Tapeworm::service_burst`), masked bursts included.
     SchedRecords,
-    /// Keyed schedule lookups whose recorded signature failed
-    /// verification, forcing a re-record instead of a replay.
+    /// Retired with miss-schedule replay; always reads 0 (slot kept
+    /// for the codecs).
     SchedSigMisses,
 }
 

@@ -168,13 +168,12 @@ pub struct SystemConfig {
     /// differential tests); disabling it forces per-miss accounting,
     /// as does the `TW_BATCH=0` environment knob.
     pub miss_batch: bool,
-    /// Whether the batched burst path may service bursts through
-    /// set-state tables with miss-schedule record/replay (eligible
-    /// geometries only: physically indexed FIFO caches spanning at
-    /// least a page). Bit-identical to the stepwise burst loop
-    /// (pinned by differential tests); disabling it forces the
-    /// stepwise loop, as does the `TW_SCHED=0` environment knob.
-    /// Inert unless `miss_batch` is also on.
+    /// Whether the batched burst path services whole bursts through
+    /// set-state service (eligible geometries only: physically indexed
+    /// FIFO caches spanning at least a page). Bit-identical to the
+    /// per-chunk burst loop (pinned by differential tests); disabling
+    /// it sends eligible geometries through that loop too. Inert
+    /// unless `miss_batch` is also on, so `TW_BATCH=0` turns it off.
     pub miss_schedule: bool,
     /// Whether the machine's physical state (trap bitmap, per-frame
     /// trap counts, VM frame refcounts) sits on demand-allocated
@@ -282,7 +281,8 @@ impl SystemConfig {
         self
     }
 
-    /// Enables or disables set-state/miss-schedule burst service.
+    /// Enables or disables set-state burst service; when disabled,
+    /// eligible geometries take the per-chunk burst loop as well.
     pub fn with_miss_schedule(mut self, enabled: bool) -> Self {
         self.miss_schedule = enabled;
         self

@@ -115,9 +115,8 @@ pub struct TrialScratch {
     machine: Option<tapeworm_machine::MachineScratch>,
     vm: Option<tapeworm_os::VmScratch>,
     data: Vec<DataRef>,
-    /// Miss-schedule cache allocations (map, entry table, arenas);
-    /// contents are cleared on reuse — the schedule itself is strictly
-    /// per-trial state.
+    /// Burst-service scratch (the per-burst victim list); cleared on
+    /// reuse, like every other buffer here.
     sched: Option<MissSchedule>,
 }
 
@@ -369,11 +368,11 @@ struct Engine<'c> {
     /// Batched miss handling enabled (`SystemConfig::miss_batch` and
     /// the `TW_BATCH` env knob both allow it).
     batch_enabled: bool,
-    /// Set-state/miss-schedule burst service enabled
-    /// (`SystemConfig::miss_schedule` and the `TW_SCHED` env knob both
-    /// allow it; rides on top of `batch_enabled`).
+    /// Set-state burst service enabled on eligible geometries
+    /// (`SystemConfig::miss_schedule`; rides on top of
+    /// `batch_enabled`, so `TW_BATCH=0` turns it off too).
     sched_enabled: bool,
-    /// Per-trial miss-schedule cache (record/replay store + counters).
+    /// Burst-service scratch: per-burst victims and the served tally.
     sched: MissSchedule,
     /// Clean runs retired through the fast path.
     fast_runs: u64,
@@ -602,8 +601,7 @@ impl<'c> Engine<'c> {
             chunk_bytes,
             fast_enabled: cfg.fast_path && std::env::var("TW_FAST").map_or(true, |v| v != "0"),
             batch_enabled: cfg.miss_batch && std::env::var("TW_BATCH").map_or(true, |v| v != "0"),
-            sched_enabled: cfg.miss_schedule
-                && std::env::var("TW_SCHED").map_or(true, |v| v != "0"),
+            sched_enabled: cfg.miss_schedule,
             sched: {
                 let mut sched = std::mem::take(&mut scratch.sched).unwrap_or_default();
                 sched.clear();
@@ -1021,19 +1019,18 @@ impl<'c> Engine<'c> {
                         _ => None,
                     };
                     if let Some(tw) = tw {
-                        // Scheduled service: when the geometry admits
-                        // set-state tables (physically indexed FIFO,
-                        // set span >= page), size the whole burst from
-                        // the trap bitmap's word-level trapped run,
-                        // service it against the set-state table in
-                        // one pass — replaying a recorded miss
-                        // schedule when its signature matches — and
-                        // flush with one batched retire/advance. The
-                        // stepwise loop below remains the reference
-                        // path (and the fallback for ineligible
-                        // geometries, budget-starved entries and the
-                        // TW_SCHED=0 kill switch); the differential
-                        // suite pins the two bit-identical.
+                        // Set-state service: when the geometry admits
+                        // it (physically indexed FIFO, set span >=
+                        // page), size the whole burst from the trap
+                        // bitmap's word-level trapped run, disarm it
+                        // in one merged clear, insert each line with
+                        // the handler's own step, and flush with one
+                        // batched retire/advance. The per-chunk loop
+                        // below remains the path for ineligible
+                        // geometries, budget-starved entries and
+                        // `with_miss_schedule(false)`; the
+                        // differential suite pins the two
+                        // bit-identical.
                         if self.sched_enabled
                             && tw.sched_eligible()
                             && !self.machine.breakpoints_in(va, page_end - va.raw())
@@ -1465,9 +1462,8 @@ impl<'c> Engine<'c> {
         counters.add(CounterId::SparseChunksAllocated, sparse.chunks_allocated);
         counters.add(CounterId::ZeroChunksDeduped, sparse.zero_chunks_deduped);
         counters.add(CounterId::ChunkFaults, sparse.chunk_faults);
-        counters.add(CounterId::SchedReplays, self.sched.replays());
-        counters.add(CounterId::SchedRecords, self.sched.records());
-        counters.add(CounterId::SchedSigMisses, self.sched.sig_misses());
+        // SchedReplays and SchedSigMisses are retired slots (always 0).
+        counters.add(CounterId::SchedRecords, self.sched.bursts());
 
         let mut phases = PhaseCycles::new();
         phases.add(Phase::Kernel, self.monster.cycles(Component::Kernel));

@@ -1,18 +1,14 @@
-//! Differential suite for set-state tables and miss-schedule replay.
+//! Differential suite for set-state burst service.
 //!
-//! On the cache/split burst path the engine may service a trapped burst
-//! from per-set residency tables and, when the burst's entry conditions
-//! and set-state signature recur, replay a recorded miss schedule with
-//! zero trapset probes. Both layers are only legal because they are
-//! *bit-identical* to stepwise servicing — same `TrialResult`, same
-//! ring-event virtual timestamps, same counters (minus the schedule
-//! bookkeeping and the victim memo, which the schedule path replaces).
-//! This suite pins that equivalence for every simulator mode, serial
-//! and parallel sweeps, and both kill switches:
-//! `SystemConfig::with_miss_schedule(false)` and the `TW_SCHED=0`
-//! environment knob.
-
-use std::sync::{Mutex, MutexGuard};
+//! On the cache/split burst path the engine may service a whole trapped
+//! burst at once on eligible geometries: size it from the trap bitmap,
+//! disarm it in one merged clear, then insert each line with the miss
+//! handler's own step. That is only legal because it is *bit-identical*
+//! to the per-chunk burst loop — same `TrialResult`, same ring-event
+//! virtual timestamps, same counters (minus the burst tally and the
+//! victim memo, whose hit count depends on which loop ran). This suite
+//! pins that equivalence for every simulator mode, serial and parallel
+//! sweeps, against `SystemConfig::with_miss_schedule(false)`.
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::CounterId;
@@ -23,19 +19,6 @@ use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
-
-/// Serializes every test that runs the engine: `TW_SCHED` is
-/// process-global and is sampled at system construction, so the
-/// engagement assertions would misfire if another test flipped it
-/// mid-run, and an equivalence test running beside `TW_SCHED=0` would
-/// compare stepwise against stepwise.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
-/// (the guarded data is `()`, so a poisoned lock carries no bad state).
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn dm(kb: u64) -> CacheConfig {
     CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
@@ -79,9 +62,9 @@ fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
     cells.iter().flat_map(|c| c.results()).collect()
 }
 
-/// Counters that legitimately differ between scheduled and stepwise
-/// servicing: the schedule bookkeeping itself and the victim memo,
-/// which the set-state tables bypass entirely.
+/// Counters that legitimately differ between set-state and per-chunk
+/// servicing: the burst tally (and its two retired neighbours) and the
+/// victim memo hits, which depend on which loop ran.
 fn sched_bookkeeping(id: CounterId) -> bool {
     matches!(
         id,
@@ -99,7 +82,6 @@ fn sched_bookkeeping(id: CounterId) -> bool {
 /// differs.)
 #[test]
 fn miss_schedule_is_bit_identical_to_stepwise() {
-    let _guard = env_lock();
     for (label, cfg) in modes() {
         let stepwise_cfgs = vec![cfg.clone().with_miss_schedule(false)];
         let sched_cfgs = vec![cfg];
@@ -133,7 +115,6 @@ fn miss_schedule_is_bit_identical_to_stepwise() {
 /// match the stepwise run exactly — kind, cycle, thread and address.
 #[test]
 fn miss_schedule_preserves_ring_event_timestamps() {
-    let _guard = env_lock();
     let base = SeedSeq::new(1994);
     let trial = base.derive("sched", 0).derive("trial", 0);
     for (label, cfg) in modes() {
@@ -149,13 +130,11 @@ fn miss_schedule_preserves_ring_event_timestamps() {
     }
 }
 
-/// The schedule engages where it is supposed to — the miss-rich
-/// gate-shaped config both records and replays schedules — and never
-/// engages when disabled via the config knob.
+/// Set-state service engages where it is supposed to — the miss-rich
+/// gate-shaped config serves bursts through it — and never when
+/// disabled via the config knob. The retired replay counters stay 0.
 #[test]
 fn miss_schedule_engages_exactly_where_expected() {
-    let _guard = env_lock();
-    std::env::remove_var("TW_SCHED");
     let base = SeedSeq::new(1994);
     let trial = base.derive("sched", 0).derive("trial", 0);
 
@@ -165,46 +144,14 @@ fn miss_schedule_engages_exactly_where_expected() {
     let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
     assert!(
         m.counters.get(CounterId::SchedRecords) > 0,
-        "miss-rich config never recorded a schedule"
+        "miss-rich config never served a set-state burst"
     );
-    assert!(
-        m.counters.get(CounterId::SchedReplays) > 0,
-        "miss-rich config never replayed a schedule"
-    );
+    assert_eq!(m.counters.get(CounterId::SchedReplays), 0, "retired");
+    assert_eq!(m.counters.get(CounterId::SchedSigMisses), 0, "retired");
 
     let off = cfg.with_miss_schedule(false);
     let (_, m) = run_trial_observed(&off, base, trial, ObsConfig::default());
     assert_eq!(m.counters.get(CounterId::SchedRecords), 0, "disabled");
-    assert_eq!(m.counters.get(CounterId::SchedReplays), 0, "disabled");
-    assert_eq!(m.counters.get(CounterId::SchedSigMisses), 0, "disabled");
-}
-
-/// `TW_SCHED=0` is the no-recompile kill switch: it restores the
-/// pre-schedule engine (observable in the counters) without perturbing
-/// any result, mirroring `TW_FAST=0` and `TW_BATCH=0`.
-#[test]
-fn tw_sched_env_knob_restores_stepwise_servicing() {
-    let _guard = env_lock();
-    let base = SeedSeq::new(1994);
-    let trial = base.derive("sched", 0).derive("trial", 0);
-    let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4))
-        .with_components(ComponentSet::user_only())
-        .with_scale(SCALE);
-
-    std::env::remove_var("TW_SCHED");
-    let (on_result, on_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(on_metrics.counters.get(CounterId::SchedRecords) > 0);
-
-    std::env::set_var("TW_SCHED", "0");
-    let (off_result, off_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_SCHED");
-
-    assert_eq!(off_metrics.counters.get(CounterId::SchedRecords), 0);
-    assert_eq!(off_metrics.counters.get(CounterId::SchedReplays), 0);
-    assert_eq!(on_result, off_result, "TW_SCHED=0 perturbed the result");
-    // Any value other than "0" leaves the schedule on.
-    std::env::set_var("TW_SCHED", "1");
-    let (_, again) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_SCHED");
-    assert!(again.counters.get(CounterId::SchedRecords) > 0);
+    assert_eq!(m.counters.get(CounterId::SchedReplays), 0, "retired");
+    assert_eq!(m.counters.get(CounterId::SchedSigMisses), 0, "retired");
 }
