@@ -7,6 +7,11 @@
 #   3. Full test suite (unit + doc + the cross-crate integration tests
 #      in tests/: paper_claims, full_system, exact_hardware,
 #      failure_injection, determinism, invariants).
+#   3b. The golden and determinism suites (tests/determinism.rs,
+#      tests/full_system.rs) again under `taskset -c 0`: with one CPU
+#      no trial has a spare core, so the quantum schedule is built
+#      inline (DESIGN.md §18) and must give the same goldens. SKIPs
+#      explicitly where `taskset` is absent.
 #   4. Warnings are errors across the entire workspace, all targets.
 #   5. Gate run of the throughput harness: results/BENCH.json must
 #      exist, carry the keys downstream tooling reads, and its
@@ -73,6 +78,13 @@ cargo build --release --workspace
 
 echo "=== tier 1: test suite (offline) ==="
 cargo test -q --workspace
+
+echo "=== tier 1: golden suites on one core (inline quantum schedule) ==="
+if command -v taskset >/dev/null 2>&1; then
+  taskset -c 0 cargo test -q -p tapeworm --test determinism --test full_system
+else
+  echo "ci.sh: one-core golden run SKIPPED: taskset is not installed, so the no-spare-core path is not exercised here"
+fi
 
 echo "=== tier 2: warnings-as-errors (workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets

@@ -18,7 +18,9 @@
 //! hit-dominated `refs_per_sec` hides them. On a single-cpu host the
 //! multi-thread `runs`/`scaling` entries are tagged
 //! `"informational": true` — they time-slice one core and are not
-//! scaling data.
+//! scaling data. Each `runs` entry records how many of its trials
+//! built their quantum schedule on a helper thread (`helper_trials` of
+//! `trials_run`), a host fact kept out of every digest.
 //!
 //! Self-contained: no criterion, no external dependencies. The JSON is
 //! emitted by hand.
@@ -61,8 +63,8 @@ use tapeworm_bench::{
 use tapeworm_core::{CacheConfig, Indexing, TlbSimConfig};
 use tapeworm_obs::{write_atomic, CounterId, MetricsReport};
 use tapeworm_sim::{
-    run_sweep, run_sweep_planned, ComponentSet, PlanMode, PlannedCell, PlannerConfig, SweepOptions,
-    SystemConfig,
+    run_sweep, run_sweep_planned, schedule_helper_trials, ComponentSet, PlanMode, PlannedCell,
+    PlannerConfig, SweepOptions, SystemConfig,
 };
 use tapeworm_workload::Workload;
 
@@ -86,6 +88,11 @@ struct Run {
     wall_secs: f64,
     instructions: u64,
     refs_per_sec: f64,
+    /// Trials of this step (all repetitions) run, and how many of them
+    /// built their quantum schedule on a helper thread. A host fact:
+    /// it depends on the spare cores, never on the simulation.
+    trials_run: usize,
+    helper_trials: u64,
 }
 
 struct ConfigCell {
@@ -417,11 +424,14 @@ fn main() {
     for &t in &ladder {
         let mut wall = f64::INFINITY;
         let mut out = Vec::new();
+        let helper_before = schedule_helper_trials();
         for _ in 0..reps {
             let start = Instant::now();
             out = run_sweep(&cfgs, trials, seed, t);
             wall = wall.min(start.elapsed().as_secs_f64());
         }
+        let helper_trials = schedule_helper_trials() - helper_before;
+        let trials_run = reps * cfgs.len() * trials;
         let instructions: u64 = out
             .iter()
             .flat_map(|cell| cell.results())
@@ -429,13 +439,16 @@ fn main() {
             .sum();
         let refs_per_sec = instructions as f64 / wall;
         println!(
-            "  threads={t:2}  wall={wall:8.3}s  refs={instructions:>12}  refs/sec={refs_per_sec:12.0}"
+            "  threads={t:2}  wall={wall:8.3}s  refs={instructions:>12}  refs/sec={refs_per_sec:12.0}  \
+             helper={helper_trials}/{trials_run}"
         );
         runs.push(Run {
             threads: t,
             wall_secs: wall,
             instructions,
             refs_per_sec,
+            trials_run,
+            helper_trials,
         });
     }
 
@@ -510,11 +523,13 @@ fn main() {
     for (i, r) in runs.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"threads\": {}, \"wall_secs\": {:.6}, \"instructions\": {}, \"refs_per_sec\": {:.0}{}}}{}",
+            "    {{\"threads\": {}, \"wall_secs\": {:.6}, \"instructions\": {}, \"refs_per_sec\": {:.0}, \"trials_run\": {}, \"helper_trials\": {}{}}}{}",
             r.threads,
             r.wall_secs,
             r.instructions,
             r.refs_per_sec,
+            r.trials_run,
+            r.helper_trials,
             informational(r.threads),
             if i + 1 == runs.len() { "" } else { "," }
         );
@@ -524,7 +539,11 @@ fn main() {
     // single-thread run, plus the flat two-thread numbers the ci.sh
     // scaling gate reads. host_cpus records the physical budget the
     // numbers were taken under — speedup beyond min(threads, host_cpus)
-    // is impossible, so gates must read both.
+    // is impossible, so gates must read both. A step's trials may also
+    // build their quantum schedule on a spare core (`helper_trials` in
+    // `runs`), so the 1-worker step can use two cores while the
+    // 2-worker step, with no core to spare, runs inline: the ratio then
+    // compares different things (DESIGN.md §18).
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     // Mirror the ci.sh scaling gate's honest SKIP: on a single-cpu
     // host the multi-thread runs time-slice one core, so the ladder

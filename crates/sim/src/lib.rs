@@ -50,6 +50,7 @@ mod config;
 mod fault;
 pub mod kessler;
 mod planner;
+mod quanta;
 mod result;
 mod sweep;
 mod system;
@@ -65,6 +66,7 @@ pub use planner::{
     planned_sweep_fingerprint, run_sweep_planned, EstimatedCell, PlanMode, PlannedCell,
     PlannedOutcome, PlannerConfig, ENV_PLAN,
 };
+pub use quanta::schedule_helper_trials;
 pub use result::TrialResult;
 pub use sweep::{
     fold_outcomes, run_sweep, run_sweep_cell, run_sweep_resilient, run_sweep_resilient_observed,

@@ -42,6 +42,7 @@ use tapeworm_stats::{OnlineStats, SeedSeq, Summary};
 use crate::checkpoint::{self, CheckpointConfig, StoredOutcome, TrialOutcome};
 use crate::config::SystemConfig;
 use crate::fault::FaultPlan;
+use crate::quanta::RunningTrials;
 use crate::result::TrialResult;
 use crate::system::{try_run_trial_observed_reusing, ObsConfig, TrialScratch};
 
@@ -496,6 +497,10 @@ pub fn run_sweep_resilient_observed(
     }
 
     let scheduler = TrialScheduler::new(options.threads);
+    // Each worker beyond the first runs trials for the whole sweep:
+    // count them from the start, so the first trial does not take a
+    // helper thread's core that a sibling worker is about to need.
+    let _siblings = RunningTrials::enter(scheduler.threads().min(limit - offset).saturating_sub(1));
     let stats = scheduler.run_committed_resilient_stateful(
         limit - offset,
         options.retry,

@@ -25,11 +25,12 @@ use tapeworm_os::{Os, OsConfig, OutOfMemoryError, TapewormAttrs, Tid, Translatio
 use tapeworm_stats::SeedSeq;
 use tapeworm_trace::{Cache2000Config, KernelTraceBuffer, KernelTraceBufferConfig};
 use tapeworm_workload::{
-    DataParams, DataRef, DataStream, ProcStream, RefStream, WorkloadSpec, BSD_TEXT_BASE,
-    DATA_SEGMENT_OFFSET, KERNEL_TEXT_BASE, USER_TEXT_BASE, X_TEXT_BASE,
+    DataRef, ProcStream, RefStream, WorkloadSpec, DATA_SEGMENT_OFFSET, KERNEL_TEXT_BASE,
+    USER_TEXT_BASE,
 };
 
 use crate::config::{AllocPolicy, SimModel, SystemConfig};
+use crate::quanta::{self, Quantum, QuantumBlock, QuantumSource, RunningTrials};
 use crate::result::TrialResult;
 
 /// A trial aborted on an infeasible configuration.
@@ -98,12 +99,12 @@ pub fn try_run_trial(
     trial: SeedSeq,
 ) -> Result<TrialResult, TrialError> {
     let mut scratch = TrialScratch::new();
-    Ok(run_trial_core(cfg, base, trial, 0, None, &mut scratch)?.0)
+    Ok(run_trial_core(cfg, base, trial, 0, None, &mut scratch, Dispatch::Auto)?.0)
 }
 
 /// Persistent per-worker scratch: the heap allocations of one trial's
 /// engine (trap bitmap and frame counts, page tables, translation
-/// cache, data-reference buffer), salvaged when the trial finishes and
+/// cache, quantum-schedule blocks), salvaged when the trial finishes and
 /// reused by the next one. A sweep worker that runs hundreds of trials
 /// builds these buffers once instead of once per trial — the
 /// thread-scaling fix — while the simulation itself stays bit-identical
@@ -114,7 +115,8 @@ pub fn try_run_trial(
 pub struct TrialScratch {
     machine: Option<tapeworm_machine::MachineScratch>,
     vm: Option<tapeworm_os::VmScratch>,
-    data: Vec<DataRef>,
+    /// Quantum-schedule blocks, with their data-reference buffers.
+    blocks: Vec<QuantumBlock>,
     /// Burst-service scratch (the per-burst victim list); cleared on
     /// reuse, like every other buffer here.
     sched: Option<MissSchedule>,
@@ -127,6 +129,21 @@ impl TrialScratch {
     }
 }
 
+/// Where a trial builds its quantum schedule. Every public entry point
+/// uses [`Dispatch::Auto`]; the forced modes exist for the differential
+/// tests, and all three give bit-identical trials.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+enum Dispatch {
+    /// On a helper thread when a core is spare and the trial is large
+    /// enough to repay the spawn, inline otherwise.
+    Auto,
+    /// Always on the engine's own thread.
+    Inline,
+    /// Always on a helper thread.
+    Helper,
+}
+
 /// Runs one trial with every optional collector threaded through, and
 /// recycles the engine's allocations back into `scratch` on the way
 /// out. All public trial entry points funnel here.
@@ -137,18 +154,27 @@ fn run_trial_core(
     ring_capacity: usize,
     window_instructions: Option<u64>,
     scratch: &mut TrialScratch,
+    dispatch: Dispatch,
 ) -> Result<(TrialResult, Vec<WindowSample>, TrialMetrics), TrialError> {
+    let running = RunningTrials::enter(1);
+    let split = matches!(cfg.model, SimModel::SplitCache { .. });
+    let source = QuantumSource::new(cfg.workload.spec(), cfg.scale, split, base);
+    let helper = match dispatch {
+        Dispatch::Auto => running.helper_pays(source.instructions()),
+        Dispatch::Inline => false,
+        Dispatch::Helper => true,
+    };
     // An engine that fails to boot (OutOfFrames during text pre-map)
     // consumes the scratch; the next trial simply reallocates. That
     // path is cold and already aborting the trial.
-    let mut engine = Engine::new(cfg, base, trial, scratch)?;
+    let mut engine = Engine::new(cfg, base, trial, source.users_created(), scratch)?;
     if ring_capacity > 0 {
         engine.ring = TrapRing::new(ring_capacity);
     }
     if let Some(period) = window_instructions {
         engine.window = Some((period, Vec::new()));
     }
-    let out = engine.run_collect();
+    let out = engine.run_collect(source, &mut scratch.blocks, helper);
     engine.recycle(scratch);
     out
 }
@@ -233,7 +259,16 @@ pub fn try_run_trial_observed_reusing(
     obs: ObsConfig,
     scratch: &mut TrialScratch,
 ) -> Result<(TrialResult, TrialMetrics), TrialError> {
-    run_trial_core(cfg, base, trial, obs.ring_capacity, None, scratch).map(|(r, _, m)| (r, m))
+    run_trial_core(
+        cfg,
+        base,
+        trial,
+        obs.ring_capacity,
+        None,
+        scratch,
+        Dispatch::Auto,
+    )
+    .map(|(r, _, m)| (r, m))
 }
 
 /// One continuous-monitoring window (§5: "the use of continuous
@@ -299,8 +334,16 @@ pub fn try_run_trial_windowed(
 ) -> Result<(TrialResult, Vec<WindowSample>), TrialError> {
     assert!(window_instructions > 0, "window must be positive");
     let mut scratch = TrialScratch::new();
-    run_trial_core(cfg, base, trial, 0, Some(window_instructions), &mut scratch)
-        .map(|(r, w, _)| (r, w))
+    run_trial_core(
+        cfg,
+        base,
+        trial,
+        0,
+        Some(window_instructions),
+        &mut scratch,
+        Dispatch::Auto,
+    )
+    .map(|(r, w, _)| (r, w))
 }
 
 enum Sim {
@@ -323,41 +366,22 @@ impl std::fmt::Debug for Sim {
     }
 }
 
-struct UserTask {
-    tid: Tid,
-    stream: ProcStream,
-    /// Load/store generator (split-cache simulations only).
-    data: Option<DataStream>,
-    /// Instructions left before this task exits (u64::MAX = run to the
-    /// end of the workload).
-    quota: u64,
-}
-
 struct Engine<'c> {
     cfg: &'c SystemConfig,
     spec: &'static WorkloadSpec,
-    base: SeedSeq,
     os: Os,
     machine: Machine,
     monster: Monster,
     sim: Sim,
-    kernel_stream: ProcStream,
-    bsd_stream: ProcStream,
-    x_stream: ProcStream,
+    /// The clock-interrupt handler's code. Where ticks land depends on
+    /// dilated time, so this stream is the engine's, not the
+    /// schedule's.
     irq_stream: ProcStream,
-    /// Per-component data streams (split-cache simulations only),
-    /// indexed like [`Component::ALL`]; the user slot is unused (each
-    /// user task carries its own).
-    data_streams: [Option<DataStream>; 4],
-    users: Vec<UserTask>,
-    next_user: usize,
+    /// Every user task forked so far, by ordinal (the schedule's
+    /// [`Quantum::task`]).
+    user_tids: Vec<Tid>,
     shell: Tid,
-    users_created: u32,
     text_registry: HashMap<u64, tapeworm_mem::Pfn>,
-    /// Per-component instruction budgets (Component::index order).
-    budgets: [u64; 4],
-    /// Instruction share of one (non-final) user task.
-    user_quota: u64,
     /// Fixed-point CPI accumulator (millicycles).
     cpi_acc_milli: u64,
     in_interrupt: bool,
@@ -385,9 +409,6 @@ struct Engine<'c> {
     ticks_dropped: u64,
     /// Page size in bytes, hoisted out of the per-chunk loop.
     page_bytes: u64,
-    /// Reusable buffer for one quantum's data references — the hot
-    /// loop never allocates.
-    data_scratch: Vec<DataRef>,
     /// Continuous-monitoring state: window length and collected
     /// samples.
     window: Option<(u64, Vec<crate::system::WindowSample>)>,
@@ -398,10 +419,13 @@ struct Engine<'c> {
 }
 
 impl<'c> Engine<'c> {
+    /// Boots the machine and OS for one trial and forks the schedule's
+    /// `initial_users` user tasks.
     fn new(
         cfg: &'c SystemConfig,
         base: SeedSeq,
         trial: SeedSeq,
+        initial_users: u32,
         scratch: &mut TrialScratch,
     ) -> Result<Self, TrialError> {
         let spec = cfg.workload.spec();
@@ -489,7 +513,6 @@ impl<'c> Engine<'c> {
                 )),
             )),
         };
-        let split = matches!(cfg.model, SimModel::SplitCache { .. });
 
         // Tapeworm attributes per the measured component set.
         let on = |sim: bool| TapewormAttrs {
@@ -536,66 +559,21 @@ impl<'c> Engine<'c> {
             }
         }
 
-        // Component instruction budgets from the Table 4 fractions.
-        let total = spec.scaled_instructions(cfg.scale);
-        let budget = |f: f64| (total as f64 * f).round() as u64;
-        let budgets = [
-            budget(spec.frac_kernel),
-            budget(spec.frac_bsd),
-            budget(spec.frac_x),
-            budget(spec.frac_user),
-        ];
-
-        let user_quota =
-            (budgets[Component::User.index()] / u64::from(spec.user_task_count.max(1))).max(1);
         let mut engine = Engine {
             cfg,
             spec,
-            base,
             os,
             machine,
             monster: Monster::new(),
             sim,
-            kernel_stream: ProcStream::new(
-                KERNEL_TEXT_BASE,
-                spec.kernel_stream,
-                base.derive("kernel-stream", 0),
-            ),
-            bsd_stream: ProcStream::new(
-                BSD_TEXT_BASE,
-                spec.bsd_stream,
-                base.derive("bsd-stream", 0),
-            ),
-            x_stream: ProcStream::new(X_TEXT_BASE, spec.x_stream, base.derive("x-stream", 0)),
             irq_stream: ProcStream::new(
                 KERNEL_TEXT_BASE,
                 spec.kernel_stream,
                 base.derive("irq-stream", 0),
             ),
-            data_streams: if split {
-                let mk = |text_base: u64, text: u64, label: u64| {
-                    Some(DataStream::new(
-                        text_base + DATA_SEGMENT_OFFSET,
-                        DataParams::default_for_text(text),
-                        base.derive("data-stream", label),
-                    ))
-                };
-                [
-                    mk(KERNEL_TEXT_BASE, spec.kernel_stream.footprint_bytes, 0),
-                    mk(BSD_TEXT_BASE, spec.bsd_stream.footprint_bytes, 1),
-                    mk(X_TEXT_BASE, spec.x_stream.footprint_bytes, 2),
-                    None,
-                ]
-            } else {
-                [None, None, None, None]
-            },
-            users: Vec::new(),
-            next_user: 0,
+            user_tids: Vec::new(),
             shell,
-            users_created: 0,
             text_registry,
-            budgets,
-            user_quota,
             cpi_acc_milli: 0,
             in_interrupt: false,
             chunk_bytes,
@@ -612,11 +590,6 @@ impl<'c> Engine<'c> {
             miss_batch_flushes: 0,
             ticks_dropped: 0,
             page_bytes: page.bytes(),
-            data_scratch: {
-                let mut data = std::mem::take(&mut scratch.data);
-                data.clear();
-                data
-            },
             window: None,
             ring: TrapRing::new(0),
             sched_quanta: 0,
@@ -635,8 +608,7 @@ impl<'c> Engine<'c> {
                 _ => {}
             }
         }
-        let initial = spec.concurrent_tasks.min(spec.user_task_count.max(1));
-        for _ in 0..initial {
+        for _ in 0..initial_users {
             engine.fork_user();
         }
         Ok(engine)
@@ -647,47 +619,24 @@ impl<'c> Engine<'c> {
     fn recycle(self, scratch: &mut TrialScratch) {
         scratch.machine = Some(self.machine.into_scratch());
         scratch.vm = Some(self.os.into_scratch());
-        scratch.data = self.data_scratch;
         scratch.sched = Some(self.sched);
     }
 
+    /// Forks the next user task from the shell. The schedule forks its
+    /// streams at the same point, so ordinals agree.
     fn fork_user(&mut self) {
         let tid = self.os.fork(self.shell).expect("task table has room");
-        let i = u64::from(self.users_created);
-        self.users_created += 1;
-        // The final concurrent batch runs to the end of the workload;
-        // earlier tasks exit after an equal share of the user budget.
-        let quota = if self.users_created >= self.spec.user_task_count {
-            u64::MAX
-        } else {
-            self.user_quota
-        };
-        let data = matches!(self.cfg.model, SimModel::SplitCache { .. }).then(|| {
-            DataStream::new(
-                USER_TEXT_BASE + DATA_SEGMENT_OFFSET,
-                DataParams::default_for_text(self.spec.user_stream.footprint_bytes),
-                self.base.derive("user-data", i),
-            )
-        });
-        self.users.push(UserTask {
-            tid,
-            stream: ProcStream::new(
-                USER_TEXT_BASE,
-                self.spec.user_stream,
-                self.base.derive("user-task", i),
-            ),
-            data,
-            quota,
-        });
+        self.user_tids.push(tid);
     }
 
-    fn exit_user(&mut self, index: usize) -> Result<(), TrialError> {
-        let task = self.users.remove(index);
-        let events = self.os.exit(task.tid).expect("live task exits");
+    /// Exits a user task whose quota is spent and, while the workload
+    /// has tasks left to start, forks the next one.
+    fn exit_user(&mut self, tid: Tid) -> Result<(), TrialError> {
+        let events = self.os.exit(tid).expect("live task exits");
         for ev in events {
             self.forward_event(ev)?;
         }
-        if self.users_created < self.spec.user_task_count {
+        if self.user_tids.len() < self.spec.user_task_count as usize {
             self.fork_user();
         }
         Ok(())
@@ -1323,84 +1272,41 @@ impl<'c> Engine<'c> {
         Ok(())
     }
 
-    /// Runs one scheduling quantum of a component. Returns the number
-    /// of instructions executed (0 when the component has nothing to
-    /// run).
-    fn run_quantum(&mut self, component: Component) -> Result<u64, TrialError> {
-        let budget = self.budgets[component.index()];
-        if budget == 0 {
-            return Ok(0);
+    /// Runs one block of the schedule: each pick's fetches, then its
+    /// data references, then (user tasks) its exit, with the
+    /// per-quantum counter and window sample after each.
+    fn run_block(&mut self, block: &QuantumBlock) -> Result<(), TrialError> {
+        let mut data_start = 0;
+        for q in &block.quanta {
+            let data_end = q.data_end as usize;
+            self.sched_quanta += 1;
+            self.run_quantum(q, &block.data[data_start..data_end])?;
+            data_start = data_end;
+            if self.window.is_some() {
+                self.sample_windows();
+            }
         }
-        Ok(match component {
-            Component::User => {
-                if self.users.is_empty() {
-                    return Ok(0);
-                }
-                // The cursor moves by one per quantum and an exit only
-                // shrinks the list under it, so it is usually in range:
-                // reduce it (the same remainder) only when it is not.
-                if self.next_user >= self.users.len() {
-                    self.next_user %= self.users.len();
-                }
-                let idx = self.next_user;
-                let run = self.users[idx].stream.next_run();
-                let tid = self.users[idx].tid;
-                let quota = self.users[idx].quota;
-                let w = u64::from(run.words).min(budget).min(quota);
-                self.exec_words(component, tid, run.va, w as u32)?;
-                if self.users[idx].data.is_some() {
-                    let mut refs = std::mem::take(&mut self.data_scratch);
-                    refs.clear();
-                    self.users[idx]
-                        .data
-                        .as_mut()
-                        .expect("checked above")
-                        .refs_into(w, &mut refs);
-                    let outcome = self.exec_data_refs(component, tid, &refs);
-                    self.data_scratch = refs;
-                    outcome?;
-                }
-                self.budgets[component.index()] -= w;
-                let task = &mut self.users[idx];
-                task.quota = task.quota.saturating_sub(w);
-                if task.quota == 0 {
-                    self.exit_user(idx)?;
-                } else {
-                    self.next_user += 1;
-                }
-                w
-            }
-            _ => {
-                let stream = match component {
-                    Component::Kernel => &mut self.kernel_stream,
-                    Component::BsdServer => &mut self.bsd_stream,
-                    Component::XServer => &mut self.x_stream,
-                    Component::User => unreachable!(),
-                };
-                let run = stream.next_run();
-                let w = u64::from(run.words).min(budget);
-                let tid = match component {
-                    Component::Kernel => Tid::KERNEL,
-                    Component::BsdServer => self.os.bsd_server(),
-                    Component::XServer => self.os.x_server(),
-                    Component::User => unreachable!(),
-                };
-                self.exec_words(component, tid, run.va, w as u32)?;
-                if self.data_streams[component.index()].is_some() {
-                    let mut refs = std::mem::take(&mut self.data_scratch);
-                    refs.clear();
-                    self.data_streams[component.index()]
-                        .as_mut()
-                        .expect("checked above")
-                        .refs_into(w, &mut refs);
-                    let outcome = self.exec_data_refs(component, tid, &refs);
-                    self.data_scratch = refs;
-                    outcome?;
-                }
-                self.budgets[component.index()] -= w;
-                w
-            }
-        })
+        Ok(())
+    }
+
+    /// Runs one scheduling quantum: `q`'s fetches and `refs`, its data
+    /// references (split-cache simulations only).
+    fn run_quantum(&mut self, q: &Quantum, refs: &[DataRef]) -> Result<(), TrialError> {
+        if q.words == 0 {
+            return Ok(());
+        }
+        let tid = match q.component {
+            Component::Kernel => Tid::KERNEL,
+            Component::BsdServer => self.os.bsd_server(),
+            Component::XServer => self.os.x_server(),
+            Component::User => self.user_tids[q.task as usize],
+        };
+        self.exec_words(q.component, tid, q.va(), q.words)?;
+        self.exec_data_refs(q.component, tid, refs)?;
+        if q.exits {
+            self.exit_user(tid)?;
+        }
+        Ok(())
     }
 
     fn current_raw_misses(&self) -> u64 {
@@ -1499,42 +1405,15 @@ impl<'c> Engine<'c> {
         }
     }
 
+    /// Runs `source`'s whole schedule (on a helper thread when
+    /// `helper`) and assembles the trial's result, windows and metrics.
     fn run_collect(
         &mut self,
+        source: QuantumSource,
+        blocks: &mut Vec<QuantumBlock>,
+        helper: bool,
     ) -> Result<(TrialResult, Vec<crate::system::WindowSample>, TrialMetrics), TrialError> {
-        // Smooth weighted round-robin over the components, by the
-        // Table 4 time fractions.
-        let weights = self.spec.component_weights();
-        let mut wrr: Vec<(Component, i64, i64)> = weights
-            .iter()
-            .filter(|(c, w)| *w > 0 && self.budgets[c.index()] > 0)
-            .map(|&(c, w)| (c, i64::from(w), 0i64))
-            .collect();
-        // The weight total changes only when a component leaves, so it
-        // is summed again only after a `retain`.
-        let mut total: i64 = wrr.iter().map(|(_, w, _)| w).sum();
-        while !wrr.is_empty() {
-            for e in &mut wrr {
-                e.2 += e.1;
-            }
-            let best = wrr
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, e)| e.2)
-                .map(|(i, _)| i)
-                .expect("non-empty wrr");
-            wrr[best].2 -= total;
-            let component = wrr[best].0;
-            self.sched_quanta += 1;
-            let executed = self.run_quantum(component)?;
-            if self.window.is_some() {
-                self.sample_windows();
-            }
-            if executed == 0 || self.budgets[component.index()] == 0 {
-                wrr.retain(|(c, ..)| *c != component);
-                total = wrr.iter().map(|(_, w, _)| w).sum();
-            }
-        }
+        quanta::drive(source, blocks, helper, |block| self.run_block(block))?;
 
         let (misses, raw, overhead, masked, l2_misses, data_misses) = match &self.sim {
             Sim::Cache(tw) => (
@@ -1590,7 +1469,7 @@ impl<'c> Engine<'c> {
             self.machine.clock_interrupts(),
             masked,
             self.os.vm().faults(),
-            u64::from(self.users_created),
+            self.user_tids.len() as u64,
         );
         let metrics = self.collect_metrics();
         let windows = self.window.take().map(|(_, s)| s).unwrap_or_default();
@@ -1614,7 +1493,7 @@ impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("workload", &self.spec.name)
-            .field("users", &self.users.len())
+            .field("users_created", &self.user_tids.len())
             .finish_non_exhaustive()
     }
 }
@@ -1622,7 +1501,8 @@ impl std::fmt::Debug for Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tapeworm_core::CacheConfig;
+    use crate::config::ComponentSet;
+    use tapeworm_core::{CacheConfig, TlbSimConfig};
     use tapeworm_workload::Workload;
 
     fn small_cfg() -> SystemConfig {
@@ -1677,5 +1557,93 @@ mod tests {
             .events
             .iter()
             .all(|e| matches!(e.kind, TrapKind::IFetch)));
+    }
+
+    type Collected = (TrialResult, Vec<WindowSample>, TrialMetrics);
+
+    fn run_forced(
+        cfg: &SystemConfig,
+        ring: usize,
+        window: Option<u64>,
+        dispatch: Dispatch,
+    ) -> Result<Collected, TrialError> {
+        let (base, trial) = (SeedSeq::new(1994), SeedSeq::new(7));
+        let mut scratch = TrialScratch::new();
+        run_trial_core(cfg, base, trial, ring, window, &mut scratch, dispatch)
+    }
+
+    /// The helper thread builds the schedule the engine would have
+    /// built itself: every result field, counter, phase account, ring
+    /// event and window sample matches the inline run, on every model
+    /// the engine drives.
+    #[test]
+    fn helper_and_inline_schedules_are_bit_identical() {
+        let dm4k = CacheConfig::new(4096, 16, 1).expect("valid geometry");
+        let big = CacheConfig::new(64 * 1024, 16, 1).expect("valid geometry");
+        let configs = [
+            (
+                "mpeg_play dm4k user-only",
+                SystemConfig::cache(Workload::MpegPlay, dm4k)
+                    .with_components(ComponentSet::user_only()),
+            ),
+            (
+                "ousterhout (task exits and forks)",
+                SystemConfig::cache(Workload::Ousterhout, dm4k),
+            ),
+            (
+                "split cache (data refs)",
+                SystemConfig::split(Workload::Espresso, dm4k, dm4k),
+            ),
+            (
+                "two-level",
+                SystemConfig::two_level(Workload::MpegPlay, dm4k, big),
+            ),
+            (
+                "tlb r3000",
+                SystemConfig::tlb(Workload::MpegPlay, TlbSimConfig::r3000()),
+            ),
+            (
+                "kernel trace buffer",
+                SystemConfig::kernel_trace_buffer(Workload::Espresso, dm4k),
+            ),
+        ];
+        for (name, cfg) in configs {
+            let cfg = cfg.with_scale(2_000);
+            for (ring, window) in [(0, None), (256, Some(50_000))] {
+                let inline = run_forced(&cfg, ring, window, Dispatch::Inline).expect("feasible");
+                let helper = run_forced(&cfg, ring, window, Dispatch::Helper).expect("feasible");
+                assert!(
+                    inline.2.counters.get(CounterId::SchedQuanta) > 2 * quanta::BLOCK_QUANTA as u64,
+                    "{name}: the schedule spans several blocks"
+                );
+                assert_eq!(inline.0, helper.0, "{name}: trial result");
+                assert_eq!(
+                    inline.2, helper.2,
+                    "{name}: metrics (counters, phases, ring)"
+                );
+                assert_eq!(inline.1, helper.1, "{name}: window samples");
+                if ring > 0 {
+                    assert!(!helper.1.is_empty(), "{name}: windows were sampled");
+                }
+            }
+        }
+    }
+
+    /// A trial that fails mid-run while the helper waits for a free
+    /// block returns its typed error instead of hanging on the join.
+    #[test]
+    fn helper_mode_surfaces_out_of_frames_without_hanging() {
+        let mut cfg = SystemConfig::cache(
+            Workload::MpegPlay,
+            CacheConfig::new(4096, 16, 1).expect("valid geometry"),
+        )
+        .with_scale(2_000);
+        cfg.frames = 8;
+        for dispatch in [Dispatch::Helper, Dispatch::Inline] {
+            match run_forced(&cfg, 0, None, dispatch) {
+                Err(TrialError::OutOfFrames { frames, .. }) => assert_eq!(frames, 8),
+                Ok(_) => panic!("{dispatch:?}: 8 frames cannot hold the workload"),
+            }
+        }
     }
 }
