@@ -28,8 +28,9 @@
 #      gate SKIPS with an explicit annotation instead of pretending.
 #   7. results/METRICS.json (the tapeworm-metrics-v1 observability
 #      export) must exist and carry every schema key, including the
-#      miss-batch effectiveness counters (miss_batch_flushes,
-#      victim_memo_hits).
+#      burst-service counter miss_batch_flushes and the retired
+#      victim_memo_hits slot (always 0; kept because the codecs index
+#      counters by slot).
 #   7b. Trapset microbench (feature-gated): build with
 #      `--features microbench`, run it, and check the
 #      tapeworm-microbench-v1 artifact is well-formed. Informational —
@@ -64,8 +65,9 @@
 #      sweep.
 #  11. Repository benchmark build gate: twbench (its own package, built
 #      against the simulator crates by path) must pass its self-tests
-#      and finish a 1-second traced `hit-heavy` smoke run whose result
-#      line reports `"correct": true` and `"failed": 0`. An engine API
+#      and finish 1-second traced `hit-heavy` and `miss-heavy` smoke
+#      runs whose result lines report `"correct": true` and
+#      `"failed": 0`. An engine API
 #      change that breaks the benchmark fails here. No timing is gated.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -396,17 +398,22 @@ grep -q "$full_digest" results/server_planner_killswitch.txt || {
 
 echo "=== tier 2: repository benchmark builds and runs ==="
 cargo test -q --release --offline --manifest-path twbench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path twbench/Cargo.toml -- \
-  --workload hit-heavy --seed 1 --seconds 1 --trace 1 > results/twbench_smoke.txt
-tail -n 1 results/twbench_smoke.txt > results/twbench_smoke_result.json
-grep -q '"correct": true' results/twbench_smoke_result.json || {
-  echo "ci.sh: twbench smoke run is not correct:" >&2
-  cat results/twbench_smoke_result.json >&2; exit 1;
-}
-grep -q '"failed": 0[,}]' results/twbench_smoke_result.json || {
-  echo "ci.sh: twbench smoke run reports failed operations:" >&2
-  cat results/twbench_smoke_result.json >&2; exit 1;
-}
-echo "ci.sh: twbench smoke ok"
+# hit-heavy, then miss-heavy, which serves nearly every miss through
+# Tapeworm::service_burst.
+for workload in hit-heavy miss-heavy; do
+  cargo run --release --offline --quiet --manifest-path twbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 1 > "results/twbench_smoke_$workload.txt"
+  result="results/twbench_smoke_${workload}_result.json"
+  tail -n 1 "results/twbench_smoke_$workload.txt" > "$result"
+  grep -q '"correct": true' "$result" || {
+    echo "ci.sh: twbench $workload smoke run is not correct:" >&2
+    cat "$result" >&2; exit 1;
+  }
+  grep -q '"failed": 0[,}]' "$result" || {
+    echo "ci.sh: twbench $workload smoke run reports failed operations:" >&2
+    cat "$result" >&2; exit 1;
+  }
+  echo "ci.sh: twbench $workload smoke ok"
+done
 
 echo "ci.sh: all gates passed"

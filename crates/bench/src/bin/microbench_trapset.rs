@@ -162,7 +162,6 @@ fn main() {
     for page in 0..(footprint / PAGE) {
         tw.tw_register_page(&mut traps, Tid::KERNEL, Pfn::new(page), page);
     }
-    tw.set_victim_memo(true);
     push(
         "handle_miss_dm4k",
         misses,

@@ -56,18 +56,6 @@ pub struct SimCache {
     cursors: Vec<u32>,
     rng: Rng,
     resident: u64,
-    /// Victim memo: epoch stamp per set, valid while it equals `epoch`.
-    /// A valid stamp means "every way of this set was occupied at its
-    /// last insert, and nothing has been removed since", so a FIFO
-    /// insert may skip the empty-way probe and displace straight at
-    /// the cursor. Any removal (page flush, inclusion invalidate,
-    /// clear) bumps `epoch`, invalidating every stamp at once.
-    full_epochs: Vec<u64>,
-    epoch: u64,
-    /// Whether the memo fast path may be consulted (the batched
-    /// miss-handling kill switch leaves stamps maintained but unused).
-    memo_enabled: bool,
-    memo_hits: u64,
 }
 
 impl SimCache {
@@ -80,23 +68,7 @@ impl SimCache {
             cursors: vec![0; cfg.sets() as usize],
             rng: seed.derive("simcache", cfg.size_bytes()).rng(),
             resident: 0,
-            full_epochs: vec![0; cfg.sets() as usize],
-            epoch: 1,
-            memo_enabled: false,
-            memo_hits: 0,
         }
-    }
-
-    /// Enables or disables the full-set victim memo. Purely a fast
-    /// path: results are bit-identical either way (pinned by the
-    /// miss-batch differential suite); only the memo-hit tally moves.
-    pub fn set_victim_memo(&mut self, enabled: bool) {
-        self.memo_enabled = enabled;
-    }
-
-    /// Victim selections answered from the full-set memo.
-    pub fn victim_memo_hits(&self) -> u64 {
-        self.memo_hits
     }
 
     /// The cache geometry.
@@ -131,37 +103,30 @@ impl SimCache {
         let set = self.cfg.set_of(entry.va, entry.pa);
         let range = self.set_range(set);
 
-        // Duplicate insertion (can occur when a shared line re-misses
-        // under virtual or physical aliasing): treat as refresh, no
-        // displacement. Never skipped — the memo below only proves the
-        // set full, not that the entry is absent.
+        // One pass over the set: a duplicate (a shared line that
+        // re-misses under virtual or physical aliasing) is a refresh
+        // with no displacement wherever it sits, even behind an empty
+        // way; otherwise the first empty way takes the line.
+        let mut empty = None;
         for i in range.clone() {
-            if self.slots[i].line == Some(entry) {
-                return None;
+            match self.slots[i].line {
+                Some(l) if l == entry => return None,
+                None if empty.is_none() => empty = Some(i),
+                _ => {}
             }
         }
-        let set_idx = set as usize;
-        if self.memo_enabled && self.full_epochs[set_idx] == self.epoch {
-            // The set was full at its last insert and nothing has been
-            // removed since: go straight to victim selection.
-            self.memo_hits += 1;
-        } else {
-            for i in range.clone() {
-                if self.slots[i].line.is_none() {
-                    self.slots[i].line = Some(entry);
-                    self.resident += 1;
-                    return None;
-                }
-            }
+        if let Some(i) = empty {
+            self.slots[i].line = Some(entry);
+            self.resident += 1;
+            return None;
         }
-        self.full_epochs[set_idx] = self.epoch;
         let ways = self.cfg.associativity() as usize;
         let victim_way = match self.cfg.replacement() {
             // Direct-mapped: the lone way is always the victim and the
             // cursor never moves ((0 + 1) % 1 == 0).
             Replacement::Fifo if ways == 1 => 0,
             Replacement::Fifo => {
-                let c = &mut self.cursors[set_idx];
+                let c = &mut self.cursors[set as usize];
                 let way = *c as usize;
                 *c = (*c + 1) % self.cfg.associativity();
                 way
@@ -176,7 +141,6 @@ impl SimCache {
     /// `[page_pa, page_pa + page_bytes)` — the flush performed by
     /// `tw_remove_page`.
     pub fn flush_physical_page(&mut self, page_pa: PhysAddr, page_bytes: u64) -> Vec<CacheLine> {
-        self.epoch += 1; // sets may empty: every full-set stamp is stale
         let mut flushed = Vec::new();
         for slot in &mut self.slots {
             if let Some(line) = slot.line {
@@ -205,7 +169,6 @@ impl SimCache {
     /// (first alias only). Used by multi-level simulation to enforce
     /// inclusion: an L2 eviction must invalidate the L1 copy.
     pub fn remove_physical_line(&mut self, pa: PhysAddr) -> Option<CacheLine> {
-        self.epoch += 1;
         let pa = pa.line_base(self.cfg.line_bytes());
         for slot in &mut self.slots {
             if matches!(slot.line, Some(l) if l.pa == pa) {
@@ -240,7 +203,6 @@ impl SimCache {
         }
         self.cursors.fill(0);
         self.resident = 0;
-        self.epoch += 1;
     }
 
     /// The indexing mode (convenience passthrough).
@@ -362,32 +324,51 @@ mod tests {
     }
 
     #[test]
-    fn victim_memo_is_invisible_in_results_and_invalidated_by_removal() {
-        // Twin caches, memo on vs off: every insert must agree exactly.
-        let mut fast = cache(256, 16, 2);
-        let mut slow = cache(256, 16, 2);
-        fast.set_victim_memo(true);
+    fn insert_refreshes_duplicates_fills_first_empty_and_displaces_last() {
+        // 4 sets × 4 ways; lines 64 bytes apart share a set.
+        let mut c = cache(256, 16, 4);
         let t = Tid::new(1);
-        let mut hits_after_warm = 0;
-        for round in 0..6u64 {
-            for set in 0..8u64 {
-                let addr = set * 16 + round * 256;
-                let a = fast.insert(t, VirtAddr::new(addr), PhysAddr::new(addr));
-                let b = slow.insert(t, VirtAddr::new(addr), PhysAddr::new(addr));
-                assert_eq!(a, b, "memo diverged at round {round} set {set}");
-            }
-            if round == 3 {
-                hits_after_warm = fast.victim_memo_hits();
-                // Removal invalidates every stamp; correctness must
-                // survive the set no longer being full.
-                assert_eq!(
-                    fast.flush_physical_page(PhysAddr::new(0), 32).len(),
-                    slow.flush_physical_page(PhysAddr::new(0), 32).len()
-                );
-            }
+        let at = |a: u64| (VirtAddr::new(a), PhysAddr::new(a));
+        for a in [0x000, 0x040, 0x080, 0x0C0] {
+            let (va, pa) = at(a);
+            assert!(c.insert(t, va, pa).is_none(), "cold way {a:#x}");
         }
-        assert!(hits_after_warm > 0, "memo never engaged");
-        assert_eq!(slow.victim_memo_hits(), 0, "disabled memo must not count");
+        // Empty way 1 (line 0x040) with a flush: the duplicate of 0x080
+        // now sits behind an empty way and must refresh in place.
+        assert_eq!(c.flush_physical_page(PhysAddr::new(0x040), 0x10).len(), 1);
+        let (cursor, rng) = (c.cursors.clone(), c.rng.clone());
+        let (va, pa) = at(0x080);
+        assert!(c.insert(t, va, pa).is_none());
+        assert!(c.slots[1].line.is_none(), "refresh filled the empty way");
+        assert_eq!(c.resident(), 3);
+        // A new line takes the first empty way, still without moving
+        // the FIFO cursor.
+        let (va, pa) = at(0x100);
+        assert!(c.insert(t, va, pa).is_none());
+        assert_eq!(c.slots[1].line.map(|l| l.pa), Some(pa));
+        assert_eq!((c.cursors.clone(), c.rng.clone()), (cursor, rng));
+        // Only a full set displaces, at the cursor, which then moves.
+        let (va, pa) = at(0x140);
+        assert_eq!(c.insert(t, va, pa).map(|l| l.pa.raw()), Some(0x000));
+        assert_eq!(c.cursors[0], 1);
+
+        // Random replacement draws only on displacement too.
+        let cfg = CacheConfig::new(256, 16, 4)
+            .unwrap()
+            .with_replacement(Replacement::Random);
+        let mut r = SimCache::new(cfg, SeedSeq::new(9));
+        for a in [0x000, 0x040, 0x080, 0x0C0, 0x080] {
+            let (va, pa) = at(a);
+            let before = r.rng.clone();
+            assert!(r.insert(t, va, pa).is_none());
+            assert_eq!(r.rng, before, "no displacement, no draw ({a:#x})");
+        }
+        let mut expect = r.rng.clone();
+        let way = expect.gen_range(0..4usize);
+        let (va, pa) = at(0x100);
+        let victim = r.insert(t, va, pa).expect("full set displaces");
+        assert_eq!(victim.pa.raw(), way as u64 * 0x40);
+        assert_eq!(r.rng, expect, "one draw per displacement");
     }
 
     #[test]

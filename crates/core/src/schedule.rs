@@ -2,21 +2,21 @@
 //! [`crate::Tapeworm::service_burst`] and its per-trial scratch.
 //!
 //! A burst is a run of consecutive trapped granules inside one page.
-//! On eligible geometries ([`crate::Tapeworm::sched_eligible`]) the
-//! engine sizes the whole run from the trap bitmap, disarms it in one
-//! merged clear, and then services each granule through the same
-//! insert-and-re-arm step as [`crate::Tapeworm::handle_miss`]. Nothing
-//! is cached between bursts: every miss runs the stepwise table
-//! operations, so the outcome is the stepwise outcome by construction
-//! (pinned by `tests/miss_schedule.rs` and the core twin differential
-//! in `crates/core/tests/burst_differential.rs`).
+//! The engine sizes the whole run from the trap bitmap and services
+//! each granule with the same clear and insert-and-re-arm steps as
+//! [`crate::Tapeworm::handle_miss`]; only the clear may be merged into
+//! one op, where geometry rules out a victim landing ahead in the run
+//! ([`crate::Tapeworm::sched_eligible`]). Nothing is cached between
+//! bursts, so the outcome is the stepwise outcome by construction
+//! (pinned by `tests/miss_batch.rs` and the core twin differential in
+//! `crates/core/tests/burst_differential.rs`).
 
 use tapeworm_machine::Component;
 use tapeworm_mem::{PhysAddr, VirtAddr};
 use tapeworm_os::Tid;
 
 /// Per-trial burst-service scratch: the victim list of the last
-/// serviced burst and a tally of bursts served.
+/// serviced burst.
 #[derive(Debug, Default)]
 pub struct MissSchedule {
     /// Ring-emission scratch: per miss of the last serviced burst,
@@ -24,29 +24,12 @@ pub struct MissSchedule {
     /// maintained when the caller asks (the trap ring is off on the
     /// throughput path).
     pub(crate) victims: Vec<u64>,
-    bursts: u64,
 }
 
 impl MissSchedule {
     /// An empty scratch.
     pub fn new() -> Self {
         MissSchedule::default()
-    }
-
-    /// Bursts serviced through [`crate::Tapeworm::service_burst`],
-    /// masked ones included.
-    pub fn bursts(&self) -> u64 {
-        self.bursts
-    }
-
-    /// Resets the victim scratch and the tally (between trials).
-    pub fn clear(&mut self) {
-        self.victims.clear();
-        self.bursts = 0;
-    }
-
-    pub(crate) fn count_burst(&mut self) {
-        self.bursts += 1;
     }
 
     /// Victim scratch from the last serviced burst (pa + 1, 0 = none),
@@ -105,16 +88,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clear_resets_tally_and_victims() {
+    fn last_burst_victims_decodes_the_scratch() {
         let mut s = MissSchedule::new();
-        s.count_burst();
+        assert_eq!(s.last_burst_victims().count(), 0);
         s.victims.push(41);
         s.victims.push(0);
         let got: Vec<Option<u64>> = s.last_burst_victims().collect();
         assert_eq!(got, vec![Some(40), None]);
-        assert_eq!(s.bursts(), 1);
-        s.clear();
-        assert_eq!(s.bursts(), 0);
-        assert_eq!(s.last_burst_victims().count(), 0);
     }
 }

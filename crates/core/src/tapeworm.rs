@@ -317,18 +317,6 @@ impl Tapeworm {
         self.miss_cost.0 + self.miss_cost.1
     }
 
-    /// Enables or disables the simulated cache's full-set victim memo
-    /// (part of the batched miss path; bit-identical either way).
-    pub fn set_victim_memo(&mut self, enabled: bool) {
-        self.cache.set_victim_memo(enabled);
-    }
-
-    /// Victim selections the simulated cache answered from its
-    /// full-set memo.
-    pub fn victim_memo_hits(&self) -> u64 {
-        self.cache.victim_memo_hits()
-    }
-
     /// The optimized miss handler (Figure 1, right side): count the
     /// miss, clear the trap on the missing line, insert it, re-trap the
     /// displaced line. Returns the cycles charged.
@@ -375,16 +363,19 @@ impl Tapeworm {
         self.stats.count_masked();
     }
 
-    /// `true` when this simulator's geometry admits set-state burst
-    /// service ([`Tapeworm::service_burst`]): a physically indexed
-    /// FIFO cache whose set span covers at least a page, so every
-    /// granule of a page maps to a distinct set and a burst's victims
-    /// always lie outside the frame being serviced (each set's only
-    /// granule of that frame is the missing one itself). Random
-    /// replacement is excluded (the engine keeps its RNG-drawing
-    /// victims on the per-chunk loop), as is virtual indexing (a
-    /// victim there could re-arm a granule ahead in the burst's own
-    /// span, which the merged clear would then miss).
+    /// `true` when a burst's victims can never land in the frame being
+    /// serviced: a physically indexed FIFO cache whose set span covers
+    /// at least a page, so every granule of a page maps to a distinct
+    /// set and each set's only granule of that frame is the missing one
+    /// itself. [`Tapeworm::service_burst`] then disarms a whole run in
+    /// one merged `clear_range`. On every other geometry it clears one
+    /// granule just before each insert, in [`Tapeworm::handle_miss`]'s
+    /// order, which is exact everywhere: with sets × line below a page
+    /// a victim can lie ahead in the run, re-arming a granule the
+    /// merged clear already passed, or displacing a re-trapped resident
+    /// line before its own miss. (Random replacement and virtual
+    /// indexing with a page-wide set span cannot do that either; the
+    /// gate leaves them out conservatively.)
     #[inline]
     pub fn sched_eligible(&self) -> bool {
         self.cfg.indexing() == Indexing::Physical
@@ -392,28 +383,31 @@ impl Tapeworm {
             && self.cfg.sets() * self.cfg.line_bytes() >= self.page_bytes
     }
 
-    /// Services one whole trap burst. The trapped-granule run is sized
-    /// from a handful of bitmap word loads ([`TrapMap::trapped_run`]),
-    /// clipped by the remaining words and the live tick budget exactly
-    /// as the stepwise per-chunk pre-checks would, and the serviced
-    /// granules are disarmed in one merged `clear_range`. Each granule
-    /// then takes the same insert-and-re-arm step as
-    /// [`Tapeworm::handle_miss`].
+    /// Services one whole trap burst: the run of trapped granules from
+    /// the request's entry, clipped by the remaining words and the live
+    /// tick budget exactly as the per-chunk pre-checks of stepwise
+    /// execution would be. The run is sized from a handful of bitmap
+    /// word loads ([`TrapMap::trapped_run`]); each granule then takes
+    /// [`Tapeworm::handle_miss`]'s clear and insert-and-re-arm steps.
+    /// Geometry alone decides how traps are cleared (see
+    /// [`Tapeworm::sched_eligible`]): in one merged op where no victim
+    /// can land ahead in the run, else one granule just before each
+    /// insert, re-measuring the run where it ends in case a victim of
+    /// this burst re-armed the next granule.
     ///
     /// Returns `None` when the burst is not serviceable here — clean
     /// entry granule, or budget-starved before the first chunk — and
-    /// the caller falls back to the stepwise loop. Every produced
-    /// outcome (counters, cycles, trap transitions, set state,
-    /// victims) is bit-identical to the stepwise burst loop;
-    /// `tests/miss_schedule.rs` pins this differentially across all
-    /// simulator modes.
+    /// the caller falls back to stepwise execution. Every produced
+    /// outcome (counters, cycles, trap transitions, set state, victims,
+    /// random draws) is bit-identical to stepwise miss handling;
+    /// `crates/core/tests/burst_differential.rs` and
+    /// `tests/miss_batch.rs` pin this.
     pub fn service_burst(
         &mut self,
         traps: &mut TrapMap,
         sched: &mut MissSchedule,
         req: &BurstRequest,
     ) -> Option<BurstServed> {
-        debug_assert!(self.sched_eligible());
         let line = self.cfg.line_bytes();
         debug_assert_eq!(traps.granule(), line);
         let line_words = line / WORD_BYTES;
@@ -421,72 +415,76 @@ impl Tapeworm {
         // Granule window covering [va, page_end): the run never looks
         // past the contiguously-mapped service span.
         let g_count = ((req.page_end_va - 1) >> shift) - (req.va.raw() >> shift) + 1;
-        let run = traps.trapped_run(req.pa, g_count);
-        if run == 0 {
-            return None; // entry granule clean: not a trap burst
-        }
-        // Clip the run by remaining words and the tick budget,
-        // replicating the stepwise per-chunk pre-checks exactly: the
-        // budget check always prices the dilation overhead, masked
-        // chunks then deduct only the undilated fetch cost.
+        let base_va = req.va.line_base(line).raw();
+        let base_pa = req.pa.line_base(line).raw();
+        let merged = self.sched_eligible();
         let head_words = line_words - (req.va.raw() % line) / WORD_BYTES;
         let mut k = 0u64;
         let mut words = 0u64;
         let mut rem = req.rem_words;
         let mut budget = req.budget_milli;
-        while k < run && rem > 0 {
-            let bw = rem.min(if k == 0 { head_words } else { line_words });
-            let cost = bw * req.cpi_milli + req.dilate_ov_milli;
-            if cost >= budget {
-                break;
-            }
-            budget -= if req.masked { bw * req.cpi_milli } else { cost };
-            words += bw;
-            rem -= bw;
-            k += 1;
-        }
-        if k == 0 {
-            return None; // budget-starved: the stepwise path delivers the tick
-        }
-        sched.count_burst();
-        if req.masked {
-            // Masked bursts change no simulator state; the stepwise
-            // loop only counts them.
-            self.stats.count_masked_n(k);
-            return Some(BurstServed {
-                chunks: k,
-                words,
-                overhead_cycles: 0,
-            });
-        }
-        self.stats.count_misses(req.component, k);
-        let (handler, replacement) = self.miss_cost;
-        self.handler_cycles += handler * k;
-        self.replacement_cycles += replacement * k;
-        let overhead_cycles = (handler + replacement) * k;
-        self.overhead_cycles += overhead_cycles;
-        // Disarm all k serviced granules in one merged op — the same k
-        // transitions as the stepwise per-miss clears, and no victim
-        // can re-arm inside the span under the eligibility gate.
-        traps.clear_range(req.pa.line_base(line), k * line);
         if req.want_victims {
             sched.victims.clear();
         }
-        let base_va = req.va.line_base(line).raw();
-        let base_pa = req.pa.line_base(line).raw();
-        for i in 0..k {
-            self.insert_and_rearm(
-                traps,
-                req.tid,
-                VirtAddr::new(base_va + i * line),
-                PhysAddr::new(base_pa + i * line),
-            );
-            if req.want_victims {
-                sched
-                    .victims
-                    .push(self.last_victim.map_or(0, |p| p.raw() + 1));
+        loop {
+            let run = k + traps.trapped_run(PhysAddr::new(base_pa + k * line), g_count - k);
+            let start = k;
+            // Clip the run by remaining words and the tick budget,
+            // replicating the stepwise per-chunk pre-checks exactly:
+            // the budget check always prices the dilation overhead,
+            // masked chunks then deduct only the undilated fetch cost.
+            while k < run && rem > 0 {
+                let bw = rem.min(if k == 0 { head_words } else { line_words });
+                let cost = bw * req.cpi_milli + req.dilate_ov_milli;
+                if cost >= budget {
+                    break;
+                }
+                budget -= if req.masked { bw * req.cpi_milli } else { cost };
+                words += bw;
+                rem -= bw;
+                k += 1;
+            }
+            if req.masked || k == start {
+                // Masked bursts change no simulator state, so their
+                // run never grows; the stepwise loop only counts them.
+                break;
+            }
+            if merged {
+                // The same k transitions as the per-miss clears, and no
+                // victim can re-arm inside the span.
+                traps.clear_range(PhysAddr::new(base_pa + start * line), (k - start) * line);
+            }
+            for i in start..k {
+                let pa = PhysAddr::new(base_pa + i * line);
+                if !merged {
+                    traps.clear_range(pa, line);
+                }
+                self.insert_and_rearm(traps, req.tid, VirtAddr::new(base_va + i * line), pa);
+                if req.want_victims {
+                    sched
+                        .victims
+                        .push(self.last_victim.map_or(0, |p| p.raw() + 1));
+                }
+            }
+            // Only a victim re-armed at the run's end can extend it.
+            if merged || k < run || rem == 0 || k == g_count {
+                break;
             }
         }
+        if k == 0 {
+            return None; // clean entry or budget-starved: stepwise delivers it
+        }
+        let overhead_cycles = if req.masked {
+            self.stats.count_masked_n(k);
+            0
+        } else {
+            self.stats.count_misses(req.component, k);
+            let (handler, replacement) = self.miss_cost;
+            self.handler_cycles += handler * k;
+            self.replacement_cycles += replacement * k;
+            (handler + replacement) * k
+        };
+        self.overhead_cycles += overhead_cycles;
         Some(BurstServed {
             chunks: k,
             words,

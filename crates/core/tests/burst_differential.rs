@@ -1,24 +1,28 @@
 //! Twin differential for set-state burst service.
 //!
-//! `Tapeworm::service_burst` disarms a whole trapped run in one merged
-//! clear and then inserts each line with the handler's own step. This
-//! suite checks it against the reference: the per-chunk sequence of
-//! `handle_miss` / `note_masked_miss` calls the engine's stepwise burst
-//! loop makes, with the same budget pre-checks. Each case builds two
-//! identical SplitMix64-warmed simulators (twins), serves one request
-//! on each, and requires identical trap bits and transition counts,
-//! cache contents and FIFO cursors, `MissStats`, cycle accounting and
-//! victim lists.
+//! `Tapeworm::service_burst` sizes a whole trapped run from the trap
+//! bitmap and inserts each line with the handler's own step; on
+//! eligible geometries it disarms the run in one merged clear, on every
+//! other geometry one granule just before each insert. This suite
+//! checks it against the reference: the per-chunk sequence of
+//! `handle_miss` / `note_masked_miss` calls stepwise execution makes,
+//! with the same budget pre-checks. Each case builds two identical
+//! SplitMix64-warmed simulators (twins), serves one request on each,
+//! and requires identical trap bits and transition counts, cache
+//! contents and FIFO cursors, random draws, `MissStats`, cycle
+//! accounting and victim lists.
 //!
 //! The warm states are chosen to reach the paths a plain warm-up never
 //! does: resident lines from unregistered frames (their displacement
 //! must not re-arm a trap), re-trapped resident lines (a duplicate
 //! insert that refreshes instead of displacing), physical aliases (same
 //! frame under another task and virtual page), masked requests and
-//! requests clipped by the tick budget. Dependency-free; runs with the
-//! default `cargo test`.
+//! requests clipped by the tick budget. Off the eligible geometries a
+//! victim can also land ahead in the run, re-arming a granule the
+//! reference then services in the same burst. Dependency-free; runs
+//! with the default `cargo test`.
 
-use tapeworm_core::{BurstRequest, CacheConfig, MissSchedule, Tapeworm};
+use tapeworm_core::{BurstRequest, CacheConfig, Indexing, MissSchedule, Replacement, Tapeworm};
 use tapeworm_machine::Component;
 use tapeworm_mem::{Pfn, PhysAddr, TrapMap, VirtAddr, WORD_BYTES};
 use tapeworm_os::Tid;
@@ -55,23 +59,59 @@ impl SplitMix64 {
     }
 }
 
-/// The three eligible geometries: physically indexed FIFO with
-/// sets × line covering a page.
-fn geometries() -> [CacheConfig; 3] {
+/// Rare shapes of the reference's misses, counted per geometry.
+const REFRESH: usize = 0; // refreshed a resident duplicate
+const SELF_ALIAS: usize = 1; // displaced an alias of the missing line
+const AHEAD: usize = 2; // victim ahead in the page: a merged clear's blind spot
+const REARMED: usize = 3; // clean at entry, re-armed by an earlier victim
+const SHAPES: [&str; 4] = ["refresh", "self-alias", "victim ahead", "re-armed ahead"];
+
+/// Every test geometry with the rare shapes its seeded cases must
+/// reach. The first three are eligible (one merged clear, and no
+/// victim can lie ahead in the run); the rest clear one granule at a
+/// time: set spans below a page, random replacement, virtual indexing.
+fn geometries() -> [(CacheConfig, &'static [usize]); 8] {
+    let cfg = |kb: u64, ways| CacheConfig::new(kb * 1024, LINE, ways).expect("valid geometry");
     [
-        CacheConfig::new(4 * 1024, LINE, 1).expect("valid geometry"),
-        CacheConfig::new(8 * 1024, LINE, 2).expect("valid geometry"),
-        CacheConfig::new(16 * 1024, LINE, 4).expect("valid geometry"),
+        (cfg(4, 1), &[REFRESH, SELF_ALIAS]),
+        (cfg(8, 2), &[REFRESH, SELF_ALIAS]),
+        (cfg(16, 4), &[REFRESH, SELF_ALIAS]),
+        (cfg(1, 1), &[REFRESH, SELF_ALIAS, AHEAD, REARMED]),
+        // Re-arming the granule just past the run needs a FIFO history
+        // the random warm-up seldom leaves in two or more ways;
+        // `a_victim_rearming_the_next_granule_extends_the_burst` builds
+        // it directly.
+        (cfg(4, 2), &[REFRESH, SELF_ALIAS, AHEAD]),
+        // Random victims spread over four ways: a self-alias victim is
+        // too rare to reach here.
+        (
+            cfg(8, 4).with_replacement(Replacement::Random),
+            &[REFRESH, AHEAD],
+        ),
+        // The set span equals the page and page offsets agree in both
+        // address spaces, so each granule of a frame has its own set:
+        // no victim can lie ahead in the run. Only the indexing mode
+        // keeps this geometry off the merged clear.
+        (
+            cfg(4, 1).with_indexing(Indexing::Virtual),
+            &[REFRESH, SELF_ALIAS],
+        ),
+        // Re-trapped residents rarely survive until a burst reaches
+        // them in this small cache.
+        (
+            cfg(2, 2).with_indexing(Indexing::Virtual),
+            &[SELF_ALIAS, AHEAD],
+        ),
     ]
 }
 
 /// Builds one twin: registered frames, then a stepwise warm-up mixed
 /// with the seed's choice of foreign lines, re-trapped residents and
-/// aliases. Deterministic in `(cfg, seed, memo)`, so two calls build
-/// identical twins.
-fn build(cfg: &CacheConfig, seed: u64, memo: bool) -> (Tapeworm, TrapMap) {
+/// aliases, then optionally a straight-line pass from `pass`.
+/// Deterministic in `(cfg, seed, pass)`, so two calls build identical
+/// twins.
+fn build(cfg: &CacheConfig, seed: u64, pass: Option<PhysAddr>) -> (Tapeworm, TrapMap) {
     let mut tw = Tapeworm::new(*cfg, PAGE, SeedSeq::new(1994));
-    tw.set_victim_memo(memo);
     let mut traps = TrapMap::new(FRAMES * PAGE, LINE);
     let tid = Tid::new(1);
     for p in 0..PAGES {
@@ -109,6 +149,20 @@ fn build(cfg: &CacheConfig, seed: u64, memo: bool) -> (Tapeworm, TrapMap) {
                 if traps.is_trapped(pa) {
                     tw.handle_miss(&mut traps, Component::User, tid, VirtAddr::new(addr), pa);
                 }
+            }
+        }
+    }
+    // A straight-line pass from the burst's entry, longer than the
+    // cache, as a loop's last iteration leaves it: a trapped stretch
+    // whose sets hold the lines just past it, so a burst into the
+    // stretch displaces granules ahead of itself in the same page.
+    if let Some(entry) = pass {
+        let start = entry.raw() & !(LINE - 1);
+        let end = (start + cfg.size_bytes() + rng.below(PAGE)).min(PAGES * PAGE);
+        for addr in (start..end).step_by(LINE as usize) {
+            let pa = PhysAddr::new(addr);
+            if traps.is_trapped(pa) {
+                tw.handle_miss(&mut traps, Component::User, tid, VirtAddr::new(addr), pa);
             }
         }
     }
@@ -155,28 +209,28 @@ struct Served {
     victims: Vec<Option<u64>>,
 }
 
-/// The reference: the engine's per-chunk burst loop, one
+/// The reference: stepwise execution's per-chunk burst, one
 /// `handle_miss` or `note_masked_miss` per trapped chunk, stopping at
 /// the first clean chunk, the page end, the end of the run or a chunk
 /// the tick budget cannot cover. `None` where `service_burst` declines
-/// (nothing serviced). Also returns how many of its misses refreshed
-/// a resident duplicate and how many displaced an alias of the
-/// missing line itself.
+/// (nothing serviced).
 fn stepwise(
     tw: &mut Tapeworm,
     traps: &mut TrapMap,
     req: &BurstRequest,
-) -> (Option<Served>, u64, u64) {
+    shapes: &mut [u64; 4],
+) -> Option<Served> {
     let mut out = Served {
         chunks: 0,
         words: 0,
         overhead_cycles: 0,
         victims: Vec::new(),
     };
+    let page_end_pa = req.page_end_va - req.va.raw() + req.pa.raw();
+    let trapped_at_entry: Vec<u64> = traps.iter_trapped().collect();
     let mut va = req.va.raw();
     let mut rem = req.rem_words;
     let mut budget = req.budget_milli;
-    let (mut refreshes, mut self_aliases) = (0, 0);
     while rem > 0 && va < req.page_end_va {
         let pa = PhysAddr::new(va - req.va.raw() + req.pa.raw());
         if !traps.is_trapped(pa) {
@@ -192,15 +246,18 @@ fn stepwise(
             budget -= bw * req.cpi_milli;
         } else {
             let (line_va, line_pa) = (va & !(LINE - 1), pa.raw() & !(LINE - 1));
-            refreshes += u64::from(
+            shapes[REFRESH] += u64::from(
                 tw.cache()
                     .iter()
                     .any(|l| l.tid == req.tid && l.va.raw() == line_va && l.pa.raw() == line_pa),
             );
+            shapes[REARMED] +=
+                u64::from(trapped_at_entry.binary_search(&(line_pa / LINE)).is_err());
             out.overhead_cycles +=
                 tw.handle_miss(traps, req.component, req.tid, VirtAddr::new(va), pa);
             let victim = tw.last_victim().map(|v| v.raw());
-            self_aliases += u64::from(victim == Some(line_pa));
+            shapes[SELF_ALIAS] += u64::from(victim == Some(line_pa));
+            shapes[AHEAD] += u64::from(victim.is_some_and(|v| v > line_pa && v < page_end_pa));
             out.victims.push(victim);
             budget -= cost;
         }
@@ -209,7 +266,46 @@ fn stepwise(
         rem -= bw;
         va += bw * WORD_BYTES;
     }
-    ((out.chunks > 0).then_some(out), refreshes, self_aliases)
+    (out.chunks > 0).then_some(out)
+}
+
+/// Drives `service_burst` the way the engine does: re-enter with the
+/// remaining words and budget until it declines or the page or words
+/// run out, summing what the calls served. Returns the sum and how many
+/// calls served something — the engine's flush count for the burst.
+fn serve(tw: &mut Tapeworm, traps: &mut TrapMap, req: &BurstRequest) -> (Option<Served>, u64) {
+    let mut sched = MissSchedule::new();
+    let mut out = Served {
+        chunks: 0,
+        words: 0,
+        overhead_cycles: 0,
+        victims: Vec::new(),
+    };
+    let mut next = *req;
+    let mut calls = 0;
+    while next.rem_words > 0 && next.va.raw() < next.page_end_va {
+        let Some(s) = tw.service_burst(traps, &mut sched, &next) else {
+            break;
+        };
+        calls += 1;
+        out.chunks += s.chunks;
+        out.words += s.words;
+        out.overhead_cycles += s.overhead_cycles;
+        if req.want_victims && !req.masked {
+            out.victims.extend(sched.last_burst_victims());
+        }
+        let spent = s.words * req.cpi_milli
+            + if req.masked {
+                0
+            } else {
+                s.chunks * req.dilate_ov_milli
+            };
+        next.budget_milli -= spent;
+        next.rem_words -= s.words;
+        next.va = VirtAddr::new(next.va.raw() + s.words * WORD_BYTES);
+        next.pa = PhysAddr::new(next.pa.raw() + s.words * WORD_BYTES);
+    }
+    ((calls > 0).then_some(out), calls)
 }
 
 /// Every observable of one twin after its request.
@@ -261,38 +357,26 @@ fn snapshot(mut tw: Tapeworm, traps: &TrapMap) -> Snapshot {
 }
 
 #[test]
-fn service_burst_matches_stepwise_on_every_eligible_geometry() {
-    for cfg in geometries() {
-        let ways = cfg.associativity();
-        let (mut served, mut masked, mut clipped) = (0, 0, 0);
-        let (mut retraps_skipped, mut refreshes, mut self_aliases) = (0, 0, 0);
+fn service_burst_matches_stepwise_on_every_geometry() {
+    for (cfg, expected) in geometries() {
+        let eligible = Tapeworm::new(cfg, PAGE, SeedSeq::new(1994)).sched_eligible();
+        let mut shapes = [0u64; 4];
+        let (mut served, mut masked, mut clipped, mut retraps_skipped) = (0, 0, 0, 0);
         for case in 0..CASES {
-            let mut rng = SplitMix64(0x7a9e_0000 + case * 0x1_0001 + u64::from(ways));
+            let mut rng =
+                SplitMix64(0x7a9e_0000 + case * 0x1_0001 + u64::from(cfg.associativity()));
             let state_seed = rng.next();
-            let memo = rng.chance(2);
             let req = request(&mut rng);
+            // Eligible geometries keep the plain warm-up: the pass
+            // cannot put a victim ahead there, and it would leave most
+            // entries resident.
+            let pass = (!eligible && rng.chance(4)).then_some(req.pa);
 
-            let (mut fast, mut fast_traps) = build(&cfg, state_seed, memo);
-            let (mut slow, mut slow_traps) = build(&cfg, state_seed, memo);
-            assert!(fast.sched_eligible(), "test geometry must be eligible");
-
-            let mut sched = MissSchedule::new();
-            let got = fast
-                .service_burst(&mut fast_traps, &mut sched, &req)
-                .map(|s| Served {
-                    chunks: s.chunks,
-                    words: s.words,
-                    overhead_cycles: s.overhead_cycles,
-                    victims: if req.want_victims && !req.masked {
-                        sched.last_burst_victims().collect()
-                    } else {
-                        Vec::new()
-                    },
-                });
-            let (mut want, refreshed, aliased) = stepwise(&mut slow, &mut slow_traps, &req);
-            refreshes += refreshed;
-            self_aliases += aliased;
-            if let Some(w) = want.as_mut() {
+            let (mut fast, mut fast_traps) = build(&cfg, state_seed, pass);
+            let (mut slow, mut slow_traps) = build(&cfg, state_seed, pass);
+            let (mut got, calls) = serve(&mut fast, &mut fast_traps, &req);
+            let mut want = stepwise(&mut slow, &mut slow_traps, &req, &mut shapes);
+            if let Some(w) = &want {
                 served += 1;
                 masked += u64::from(req.masked);
                 clipped += u64::from(req.budget_milli < 1 << 40);
@@ -302,32 +386,130 @@ fn service_burst_matches_stepwise_on_every_eligible_geometry() {
                     .flatten()
                     .filter(|&&v| v >= PAGES * PAGE)
                     .count();
-                if !req.want_victims {
-                    w.victims.clear();
+            }
+            if !req.want_victims {
+                for side in [&mut got, &mut want].into_iter().flatten() {
+                    side.victims.clear();
                 }
             }
-            assert_eq!(
-                got, want,
-                "served burst diverged (ways {ways}, case {case})"
+            assert_eq!(got, want, "served burst diverged ({cfg:?}, case {case})");
+            // One stepwise burst is one engine flush: the re-entry declines.
+            assert!(
+                calls <= 1,
+                "{calls} calls served one burst ({cfg:?}, case {case})"
             );
             assert_eq!(
                 snapshot(fast, &fast_traps),
                 snapshot(slow, &slow_traps),
-                "twin state diverged (ways {ways}, case {case}, {req:?})"
+                "twin state diverged ({cfg:?}, case {case}, {req:?})"
             );
         }
         // The suite only proves something if every shape occurred.
-        assert!(served > CASES / 2, "ways {ways}: {served} bursts served");
-        assert!(masked > 0, "ways {ways}: no masked burst");
-        assert!(clipped > 0, "ways {ways}: no budget-clipped burst");
+        assert!(served > CASES / 2, "{cfg:?}: {served} bursts served");
+        assert!(masked > 0, "{cfg:?}: no masked burst");
+        assert!(clipped > 0, "{cfg:?}: no budget-clipped burst");
         assert!(
             retraps_skipped > 0,
-            "ways {ways}: no victim from an unregistered frame"
+            "{cfg:?}: no victim from an unregistered frame"
         );
-        assert!(refreshes > 0, "ways {ways}: no duplicate refresh");
-        assert!(
-            self_aliases > 0,
-            "ways {ways}: no alias of the missing line displaced"
-        );
+        for &shape in expected {
+            assert!(shapes[shape] > 0, "{cfg:?}: no {}", SHAPES[shape]);
+        }
+        if eligible {
+            // What eligibility promises, and the merged clear relies on.
+            assert_eq!(shapes[AHEAD] + shapes[REARMED], 0, "{cfg:?}: {shapes:?}");
+        }
     }
+}
+
+/// A fresh 2-way 4 KiB twin over frames 0 and 1 (128 sets, so frame
+/// offsets 2048 apart share a set), with `prime` serviced stepwise in
+/// order.
+fn two_way(prime: impl IntoIterator<Item = u64>) -> (Tapeworm, TrapMap) {
+    let cfg = CacheConfig::new(4 * 1024, LINE, 2).expect("valid geometry");
+    let mut tw = Tapeworm::new(cfg, PAGE, SeedSeq::new(1994));
+    let mut traps = TrapMap::new(FRAMES * PAGE, LINE);
+    let tid = Tid::new(1);
+    for p in 0..2 {
+        tw.tw_register_page(&mut traps, tid, Pfn::new(p), p);
+    }
+    for addr in prime {
+        let pa = PhysAddr::new(addr);
+        if traps.is_trapped(pa) {
+            tw.handle_miss(&mut traps, Component::User, tid, VirtAddr::new(addr), pa);
+        }
+    }
+    (tw, traps)
+}
+
+/// An unclipped request over the rest of frame 0 from `va`.
+fn whole_page_from(va: u64) -> BurstRequest {
+    BurstRequest {
+        component: Component::User,
+        tid: Tid::new(1),
+        va: VirtAddr::new(va),
+        pa: PhysAddr::new(va),
+        rem_words: (PAGE - va) / WORD_BYTES,
+        page_end_va: PAGE,
+        budget_milli: 1 << 40,
+        cpi_milli: 1000,
+        dilate_ov_milli: 0,
+        masked: false,
+        want_victims: true,
+    }
+}
+
+/// The state that makes a merged clear wrong off the eligible
+/// geometries. Set 0 holds frame 0's offset 2048 at the FIFO cursor
+/// and frame 1's offset 0 behind it, and the 2048 line is resident yet
+/// trapped, as a re-arm from the data cache leaves it on split's shared
+/// bitmap. A burst from offset 0 runs through 2048, but its first miss
+/// displaces that line: in handler order the re-arm finds the trap
+/// already set and the line's own miss clears it, whereas a clear
+/// merged up front would be undone by the re-arm and leave the line
+/// resident and trapped, with one more set event.
+#[test]
+fn resident_retrapped_line_ahead_in_the_run_is_cleared_in_handler_order() {
+    let state = || {
+        let (mut tw, mut traps) = two_way([2048, PAGE]);
+        tw.tw_set_trap(&mut traps, PhysAddr::new(2048), LINE);
+        (tw, traps)
+    };
+    let (mut fast, mut fast_traps) = state();
+    let (mut slow, mut slow_traps) = state();
+    assert!(!fast.sched_eligible());
+    let req = whole_page_from(0);
+    let (got, calls) = serve(&mut fast, &mut fast_traps, &req);
+    let mut shapes = [0; 4];
+    let want = stepwise(&mut slow, &mut slow_traps, &req, &mut shapes);
+    assert_eq!(shapes[AHEAD], 1, "the 2048 line is displaced ahead");
+    assert_eq!(got, want);
+    assert_eq!(calls, 1);
+    assert!(!fast_traps.is_trapped(PhysAddr::new(2048)));
+    assert!(fast.cache().contains_physical(PhysAddr::new(2048)));
+    assert_eq!(snapshot(fast, &fast_traps), snapshot(slow, &slow_traps));
+}
+
+/// The burst must run on into a granule that was clean when it began
+/// but that one of its own victims re-armed, as stepwise execution
+/// does, and still be one burst (one engine flush). A straight-line
+/// pass over 416 lines from an empty 2-way 4 KiB cache leaves lines
+/// 0..160 trapped and each set's older way at the cursor, so the miss
+/// on line 32 displaces line 160, right where the run measured at entry
+/// ends.
+#[test]
+fn a_victim_rearming_the_next_granule_extends_the_burst() {
+    let prime = (0..416).map(|l| l * LINE);
+    let (mut fast, mut fast_traps) = two_way(prime.clone());
+    let (mut slow, mut slow_traps) = two_way(prime);
+    assert_eq!(fast_traps.trapped_run(PhysAddr::new(0), PAGE / LINE), 160);
+    let req = whole_page_from(0);
+    let (got, calls) = serve(&mut fast, &mut fast_traps, &req);
+    let mut shapes = [0; 4];
+    let want = stepwise(&mut slow, &mut slow_traps, &req, &mut shapes);
+    assert!(shapes[REARMED] > 0, "no granule re-armed ahead");
+    assert!(got.as_ref().is_some_and(|s| s.chunks > 160));
+    assert_eq!(got, want);
+    assert_eq!(calls, 1, "the re-armed granule is part of the same burst");
+    assert_eq!(snapshot(fast, &fast_traps), snapshot(slow, &slow_traps));
 }

@@ -49,11 +49,12 @@ pub enum CounterId {
     /// Words (instructions) retired through the fast path.
     FastWords,
     /// Miss bursts flushed by the batched trap-service path (each
-    /// flush coalesced one or more consecutive trap services into a
-    /// single accounting pass).
+    /// flush served one or more consecutive trap services through
+    /// `Tapeworm::service_burst` in a single accounting pass).
     MissBatchFlushes,
-    /// Victim selections answered from the per-set full-set memo
-    /// inside a miss burst, skipping the duplicate/empty way scans.
+    /// Retired: the victim memo no longer exists. The slot stays
+    /// because the checkpoint and wire codecs index counters by slot;
+    /// it always reads 0.
     VictimMemoHits,
     /// Chunks of sparse physical-state backing privately materialized
     /// at trial end (trap bitmap + frame counts + VM frame refcounts).
@@ -81,8 +82,9 @@ pub enum CounterId {
     /// because the checkpoint and wire codecs index counters by slot;
     /// it always reads 0.
     SchedReplays,
-    /// Trap bursts handled by set-state burst service
-    /// (`Tapeworm::service_burst`), masked bursts included.
+    /// Trap bursts served through `Tapeworm::service_burst`, masked
+    /// bursts included. Every flush is one served burst, so this
+    /// equals [`CounterId::MissBatchFlushes`].
     SchedRecords,
     /// Retired with miss-schedule replay; always reads 0 (slot kept
     /// for the codecs).

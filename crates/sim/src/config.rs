@@ -161,20 +161,14 @@ pub struct SystemConfig {
     /// tests); disabling it forces the per-chunk slow path, as does the
     /// `TW_FAST=0` environment knob.
     pub fast_path: bool,
-    /// Whether the engine may service consecutive trapped chunks in a
-    /// batched miss burst (one clock advance per burst instead of one
-    /// per miss) with victim-selection memoization in the simulated
-    /// cache. Bit-identical to stepwise miss handling (pinned by
-    /// differential tests); disabling it forces per-miss accounting,
-    /// as does the `TW_BATCH=0` environment knob.
+    /// Whether the engine may service a run of consecutive trapped
+    /// chunks as one burst through `Tapeworm::service_burst` (one
+    /// clock advance per burst instead of one per miss), on the single
+    /// cache and the split I-side with any indexing, replacement,
+    /// associativity or set sampling. Bit-identical to stepwise miss
+    /// handling (pinned by differential tests); disabling it forces
+    /// per-miss accounting, as does the `TW_BATCH=0` environment knob.
     pub miss_batch: bool,
-    /// Whether the batched burst path services whole bursts through
-    /// set-state service (eligible geometries only: physically indexed
-    /// FIFO caches spanning at least a page). Bit-identical to the
-    /// per-chunk burst loop (pinned by differential tests); disabling
-    /// it sends eligible geometries through that loop too. Inert
-    /// unless `miss_batch` is also on, so `TW_BATCH=0` turns it off.
-    pub miss_schedule: bool,
     /// Whether the machine's physical state (trap bitmap, per-frame
     /// trap counts, VM frame refcounts) sits on demand-allocated
     /// chunked backing with zero-chunk dedup. Bit-identical to the
@@ -205,7 +199,6 @@ impl SystemConfig {
             write_policy: tapeworm_mem::WritePolicy::NoAllocateOnWrite,
             fast_path: true,
             miss_batch: true,
-            miss_schedule: true,
             sparse_mem: true,
         }
     }
@@ -281,10 +274,11 @@ impl SystemConfig {
         self
     }
 
-    /// Enables or disables set-state burst service; when disabled,
-    /// eligible geometries take the per-chunk burst loop as well.
-    pub fn with_miss_schedule(mut self, enabled: bool) -> Self {
-        self.miss_schedule = enabled;
+    /// Does nothing: every burst takes set-state service, so there is
+    /// no second burst path left to select. Kept so existing callers
+    /// still compile; [`SystemConfig::with_miss_batch`] is the one
+    /// switch for burst service.
+    pub fn with_miss_schedule(self, _enabled: bool) -> Self {
         self
     }
 

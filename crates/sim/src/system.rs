@@ -389,20 +389,17 @@ struct Engine<'c> {
     /// Resident-run fast path enabled (`SystemConfig::fast_path` and
     /// the `TW_FAST` env knob both allow it).
     fast_enabled: bool,
-    /// Batched miss handling enabled (`SystemConfig::miss_batch` and
-    /// the `TW_BATCH` env knob both allow it).
+    /// Burst service enabled (`SystemConfig::miss_batch` and the
+    /// `TW_BATCH` env knob both allow it).
     batch_enabled: bool,
-    /// Set-state burst service enabled on eligible geometries
-    /// (`SystemConfig::miss_schedule`; rides on top of
-    /// `batch_enabled`, so `TW_BATCH=0` turns it off too).
-    sched_enabled: bool,
-    /// Burst-service scratch: per-burst victims and the served tally.
+    /// Burst-service scratch: the last burst's victims.
     sched: MissSchedule,
     /// Clean runs retired through the fast path.
     fast_runs: u64,
     /// Words retired through the fast path.
     fast_words: u64,
-    /// Miss bursts flushed through the batched trap-service path.
+    /// Miss bursts served through `Tapeworm::service_burst`, masked
+    /// ones included.
     miss_batch_flushes: u64,
     /// Clock ticks that fired but exceeded the per-interval delivery
     /// bound in [`Engine::advance`] (previously dropped silently).
@@ -579,12 +576,7 @@ impl<'c> Engine<'c> {
             chunk_bytes,
             fast_enabled: cfg.fast_path && std::env::var("TW_FAST").map_or(true, |v| v != "0"),
             batch_enabled: cfg.miss_batch && std::env::var("TW_BATCH").map_or(true, |v| v != "0"),
-            sched_enabled: cfg.miss_schedule,
-            sched: {
-                let mut sched = std::mem::take(&mut scratch.sched).unwrap_or_default();
-                sched.clear();
-                sched
-            },
+            sched: std::mem::take(&mut scratch.sched).unwrap_or_default(),
             fast_runs: 0,
             fast_words: 0,
             miss_batch_flushes: 0,
@@ -594,20 +586,6 @@ impl<'c> Engine<'c> {
             ring: TrapRing::new(0),
             sched_quanta: 0,
         };
-        // Victim-selection memoization rides the batch knob: the memo
-        // is bit-invisible (it only skips re-deriving a decision the
-        // stepwise scan would reach identically), so one knob pins
-        // both batching layers for the differential suite.
-        if engine.batch_enabled {
-            match &mut engine.sim {
-                Sim::Cache(tw) => tw.set_victim_memo(true),
-                Sim::Split { icache, dcache } => {
-                    icache.set_victim_memo(true);
-                    dcache.set_victim_memo(true);
-                }
-                _ => {}
-            }
-        }
         for _ in 0..initial_users {
             engine.fork_user();
         }
@@ -914,19 +892,19 @@ impl<'c> Engine<'c> {
                     // Batched miss burst: the probe point sits short of
                     // a trapped granule, so this chunk (and typically a
                     // run of successors — cold pages trap every line)
-                    // takes the miss path. Service consecutive
-                    // trapped/masked chunks in one pass, deferring
-                    // retire/phase/clock bookkeeping to a single flush.
-                    // Bit-exactness by construction:
-                    // * each chunk still probes through machine.access
-                    //   and services its miss through the same handler,
-                    //   so every trap/breakpoint/miss counter and every
-                    //   trap-bit transition is the stepwise sequence;
-                    // * the burst exits before any chunk whose clean
-                    //   span reaches the chunk end, so the fast path
-                    //   above commits exactly the batches (and counts
-                    //   exactly the fast_runs/fast_words) it would have
-                    //   stepwise;
+                    // takes the miss path. `service_burst` serves the
+                    // whole trapped run through the handler's own table
+                    // steps, and the engine flushes retire/phase/clock
+                    // bookkeeping once. Bit-exactness by construction:
+                    // * every trap-bit transition, victim and random
+                    //   draw is the stepwise sequence (see
+                    //   `Tapeworm::service_burst`), and every probed
+                    //   chunk is a proven trap, so the batched retire
+                    //   replays exactly the per-chunk counter updates;
+                    // * the burst ends at the first chunk whose granule
+                    //   is clean, so the fast path above commits
+                    //   exactly the batches (and counts exactly the
+                    //   fast_runs/fast_words) it would have stepwise;
                     // * every chunk's worst-case dilated cost is
                     //   strictly pre-checked against the remaining tick
                     //   budget, so the single deferred advance() fires
@@ -939,13 +917,7 @@ impl<'c> Engine<'c> {
                     //   base clock plus exactly the workload/dilated
                     //   overhead cycles the deferred advance() will
                     //   apply for the chunks already burst.
-                    // Only constant-cost handlers qualify (the budget
-                    // pre-check must bound the charge): the single
-                    // cache and the split icache — the two-level
-                    // hierarchy's L2-dependent cost stays stepwise.
-                    let mut burst_words = 0u64;
-                    let mut burst_cycles = 0u64;
-                    let mut burst_overhead = 0u64;
+                    //
                     // The kernel's statement of how far one trap-service
                     // pass may run: the live mapping's remaining page
                     // span (a counting-free page-table read). Also
@@ -962,205 +934,89 @@ impl<'c> Engine<'c> {
                         }
                         None => (vpn + 1) * self.page_bytes,
                     };
+                    // Only constant-cost handlers qualify (the budget
+                    // pre-check must bound the charge): the single
+                    // cache and the split icache — the two-level
+                    // hierarchy's L2-dependent cost stays stepwise.
                     let tw = match &mut self.sim {
-                        Sim::Cache(tw) => Some(tw),
-                        Sim::Split { icache, .. } => Some(icache),
+                        Sim::Cache(tw) | Sim::Split { icache: tw, .. } => Some(tw),
                         _ => None,
                     };
-                    if let Some(tw) = tw {
-                        // Set-state service: when the geometry admits
-                        // it (physically indexed FIFO, set span >=
-                        // page), size the whole burst from the trap
-                        // bitmap's word-level trapped run, disarm it
-                        // in one merged clear, insert each line with
-                        // the handler's own step, and flush with one
-                        // batched retire/advance. The per-chunk loop
-                        // below remains the path for ineligible
-                        // geometries, budget-starved entries and
-                        // `with_miss_schedule(false)`; the
-                        // differential suite pins the two
-                        // bit-identical.
-                        if self.sched_enabled
-                            && tw.sched_eligible()
-                            && !self.machine.breakpoints_in(va, page_end - va.raw())
-                        {
-                            let ring_on = self.ring.enabled();
-                            let miss_ov = tw.miss_overhead_cycles();
-                            let req = BurstRequest {
-                                component,
-                                tid,
-                                va,
-                                pa,
-                                rem_words: remaining,
-                                page_end_va: page_end,
-                                budget_milli: self
-                                    .machine
-                                    .cycles_until_tick()
-                                    .saturating_mul(1000)
-                                    .saturating_sub(self.cpi_acc_milli),
-                                cpi_milli: cpi,
-                                dilate_ov_milli: if self.cfg.dilate {
-                                    miss_ov.saturating_mul(1000)
-                                } else {
-                                    0
-                                },
-                                masked: !self.machine.interrupts_enabled(),
-                                want_victims: ring_on,
-                            };
-                            let served =
-                                tw.service_burst(self.machine.traps_mut(), &mut self.sched, &req);
-                            if let Some(s) = served {
-                                if ring_on && !req.masked {
-                                    // Re-derive each miss's stepwise
-                                    // virtual timestamp from the CPI
-                                    // telescoping identity: the cycles
-                                    // burst before chunk i are
-                                    // floor((acc0 + prefix_i)/1000),
-                                    // plus i dilated miss overheads.
-                                    let now = self.machine.now();
-                                    let vpn_ev = va.page_number(self.page_bytes);
-                                    let mut prefix_milli = self.cpi_acc_milli;
-                                    let mut rem_w = remaining;
-                                    let mut cva = va;
-                                    for (i, victim) in self.sched.last_burst_victims().enumerate() {
-                                        let cycle = now
-                                            + prefix_milli / 1000
-                                            + if self.cfg.dilate {
-                                                i as u64 * miss_ov
-                                            } else {
-                                                0
-                                            };
-                                        self.ring.record(TrapEvent {
-                                            cycle,
-                                            tid: tid.raw(),
-                                            vpn: vpn_ev,
-                                            kind: TrapKind::IFetch,
-                                            victim,
-                                        });
-                                        let cend =
-                                            cva.line_base(self.chunk_bytes) + self.chunk_bytes;
-                                        let cw = rem_w.min((cend - cva) / tapeworm_mem::WORD_BYTES);
-                                        prefix_milli += cw * cpi;
-                                        rem_w -= cw;
-                                        cva += cw * tapeworm_mem::WORD_BYTES;
-                                    }
-                                }
-                                // Machine-side flush: one batched
-                                // retire + trap/breakpoint counters,
-                                // one deferred advance (the budget
-                                // pre-check inside service_burst
-                                // guarantees it fires no tick).
-                                self.machine.retire_trapped_burst(s.words, s.chunks);
-                                self.cpi_acc_milli += s.words * cpi;
-                                let burst_cycles = self.cpi_acc_milli / 1000;
-                                self.cpi_acc_milli %= 1000;
-                                self.monster.record(component, s.words, burst_cycles);
-                                self.miss_batch_flushes += 1;
-                                self.advance(burst_cycles, s.overhead_cycles)?;
-                                va += s.words * tapeworm_mem::WORD_BYTES;
-                                remaining -= s.words;
-                                continue;
-                            }
-                        }
+                    if let Some(tw) =
+                        tw.filter(|_| !self.machine.breakpoints_in(va, page_end - va.raw()))
+                    {
                         let ring_on = self.ring.enabled();
-                        let delta = pa.raw().wrapping_sub(va.raw());
-                        let dilate_ov_milli = if self.cfg.dilate {
-                            tw.miss_overhead_cycles().saturating_mul(1000)
-                        } else {
-                            0
+                        let miss_ov = tw.miss_overhead_cycles();
+                        let req = BurstRequest {
+                            component,
+                            tid,
+                            va,
+                            pa,
+                            rem_words: remaining,
+                            page_end_va: page_end,
+                            budget_milli: self
+                                .machine
+                                .cycles_until_tick()
+                                .saturating_mul(1000)
+                                .saturating_sub(self.cpi_acc_milli),
+                            cpi_milli: cpi,
+                            dilate_ov_milli: if self.cfg.dilate {
+                                miss_ov.saturating_mul(1000)
+                            } else {
+                                0
+                            },
+                            masked: !self.machine.interrupts_enabled(),
+                            want_victims: ring_on,
                         };
-                        let mut budget_milli = self
-                            .machine
-                            .cycles_until_tick()
-                            .saturating_mul(1000)
-                            .saturating_sub(self.cpi_acc_milli);
-                        let mut bva = va;
-                        let mut brem = remaining;
-                        // The preamble already measured this chunk's
-                        // span (that's what routed it here); reuse it
-                        // for the first iteration instead of re-running
-                        // the bitmap scan.
-                        let mut head_span = Some(span_words);
-                        while brem > 0 && bva.raw() < page_end {
-                            let bchunk_end = bva.line_base(self.chunk_bytes) + self.chunk_bytes;
-                            let bw = brem.min((bchunk_end - bva) / tapeworm_mem::WORD_BYTES);
-                            let bpa = PhysAddr::new(bva.raw().wrapping_add(delta));
-                            let bspan = match head_span.take() {
-                                Some(s) => s,
-                                None => {
-                                    let bmax =
-                                        brem.min((page_end - bva.raw()) / tapeworm_mem::WORD_BYTES);
-                                    if self.machine.frame_clean(bpa) {
-                                        bmax
+                        if let Some(s) =
+                            tw.service_burst(self.machine.traps_mut(), &mut self.sched, &req)
+                        {
+                            if ring_on && !req.masked {
+                                // Re-derive each miss's stepwise virtual
+                                // timestamp from the CPI telescoping
+                                // identity: the cycles burst before
+                                // chunk i are floor((acc0 + prefix_i) /
+                                // 1000), plus i dilated miss overheads.
+                                let now = self.machine.now();
+                                let mut prefix_milli = self.cpi_acc_milli;
+                                let mut rem_w = remaining;
+                                let mut cva = va;
+                                for (i, victim) in self.sched.last_burst_victims().enumerate() {
+                                    let dilated = if self.cfg.dilate {
+                                        i as u64 * miss_ov
                                     } else {
-                                        self.machine
-                                            .clean_span(bpa, bmax * tapeworm_mem::WORD_BYTES)
-                                            / tapeworm_mem::WORD_BYTES
-                                    }
-                                }
-                            };
-                            if bspan >= bw {
-                                break; // clean stretch: the fast path takes over
-                            }
-                            let cost_milli = bw * cpi + dilate_ov_milli;
-                            if cost_milli >= budget_milli {
-                                break; // tick imminent: stepwise delivers it
-                            }
-                            match self.machine.access(AccessKind::IFetch, bva, bpa) {
-                                FetchOutcome::Run => budget_milli -= bw * cpi,
-                                FetchOutcome::EccTrap => {
-                                    // Stepwise records the event before
-                                    // this chunk's own advance: virtual
-                                    // now = base clock + cycles already
-                                    // burst.
-                                    let cycle = self.machine.now()
-                                        + burst_cycles
-                                        + if self.cfg.dilate { burst_overhead } else { 0 };
-                                    // handle_miss charges exactly
-                                    // miss_overhead_cycles() — the
-                                    // pre-check above bounds this.
-                                    burst_overhead += tw.handle_miss(
-                                        self.machine.traps_mut(),
-                                        component,
-                                        tid,
-                                        bva,
-                                        bpa,
-                                    );
-                                    budget_milli -= cost_milli;
-                                    if ring_on {
-                                        self.ring.record(TrapEvent {
-                                            cycle,
-                                            tid: tid.raw(),
-                                            vpn: bva.page_number(self.page_bytes),
-                                            kind: TrapKind::IFetch,
-                                            victim: tw.last_victim().map(|pa| pa.raw()),
-                                        });
-                                    }
-                                }
-                                FetchOutcome::MaskedEccSkipped => {
-                                    tw.note_masked_miss();
-                                    budget_milli -= bw * cpi;
-                                }
-                                FetchOutcome::WriteTrapDestroyed | FetchOutcome::Breakpoint => {
-                                    unreachable!("instruction fetches with no breakpoints armed")
+                                        0
+                                    };
+                                    self.ring.record(TrapEvent {
+                                        cycle: now + prefix_milli / 1000 + dilated,
+                                        tid: tid.raw(),
+                                        vpn,
+                                        kind: TrapKind::IFetch,
+                                        victim,
+                                    });
+                                    let cend = cva.line_base(self.chunk_bytes) + self.chunk_bytes;
+                                    let cw = rem_w.min((cend - cva) / tapeworm_mem::WORD_BYTES);
+                                    prefix_milli += cw * cpi;
+                                    rem_w -= cw;
+                                    cva += cw * tapeworm_mem::WORD_BYTES;
                                 }
                             }
-                            self.cpi_acc_milli += bw * cpi;
-                            burst_cycles += self.cpi_acc_milli / 1000;
+                            // Machine-side flush: one batched retire +
+                            // trap/breakpoint counters, one deferred
+                            // advance (the budget pre-check inside
+                            // service_burst guarantees it fires no
+                            // tick).
+                            self.machine.retire_trapped_burst(s.words, s.chunks);
+                            self.cpi_acc_milli += s.words * cpi;
+                            let burst_cycles = self.cpi_acc_milli / 1000;
                             self.cpi_acc_milli %= 1000;
-                            burst_words += bw;
-                            brem -= bw;
-                            bva += bw * tapeworm_mem::WORD_BYTES;
+                            self.monster.record(component, s.words, burst_cycles);
+                            self.miss_batch_flushes += 1;
+                            self.advance(burst_cycles, s.overhead_cycles)?;
+                            va += s.words * tapeworm_mem::WORD_BYTES;
+                            remaining -= s.words;
+                            continue;
                         }
-                    }
-                    if burst_words > 0 {
-                        self.machine.retire(burst_words);
-                        self.monster.record(component, burst_words, burst_cycles);
-                        self.miss_batch_flushes += 1;
-                        self.advance(burst_cycles, burst_overhead)?;
-                        va += burst_words * tapeworm_mem::WORD_BYTES;
-                        remaining -= burst_words;
-                        continue;
                     }
                 }
             }
@@ -1355,12 +1211,6 @@ impl<'c> Engine<'c> {
         counters.add(CounterId::FastRuns, self.fast_runs);
         counters.add(CounterId::FastWords, self.fast_words);
         counters.add(CounterId::MissBatchFlushes, self.miss_batch_flushes);
-        let memo_hits = match &self.sim {
-            Sim::Cache(tw) => tw.victim_memo_hits(),
-            Sim::Split { icache, dcache } => icache.victim_memo_hits() + dcache.victim_memo_hits(),
-            Sim::TwoLevel(_) | Sim::Tlb(_) | Sim::Buffer(_) => 0,
-        };
-        counters.add(CounterId::VictimMemoHits, memo_hits);
         let sparse = self
             .machine
             .sparse_stats()
@@ -1368,8 +1218,9 @@ impl<'c> Engine<'c> {
         counters.add(CounterId::SparseChunksAllocated, sparse.chunks_allocated);
         counters.add(CounterId::ZeroChunksDeduped, sparse.zero_chunks_deduped);
         counters.add(CounterId::ChunkFaults, sparse.chunk_faults);
-        // SchedReplays and SchedSigMisses are retired slots (always 0).
-        counters.add(CounterId::SchedRecords, self.sched.bursts());
+        // Every flush is one served burst. VictimMemoHits, SchedReplays
+        // and SchedSigMisses are retired slots (always 0).
+        counters.add(CounterId::SchedRecords, self.miss_batch_flushes);
 
         let mut phases = PhaseCycles::new();
         phases.add(Phase::Kernel, self.monster.cycles(Component::Kernel));

@@ -1,23 +1,25 @@
 //! Differential suite for batched miss handling.
 //!
 //! When a chunk's clean-span scan shows a trap-dense stretch, the
-//! engine may service the whole stretch in one coalesced handler pass
-//! (memoized victim selection, merged trap-set range ops) instead of
-//! bouncing trap-by-trap between simulator and kernel. Like the
-//! resident-run fast path, the batch is only legal because it is
+//! engine serves the whole trapped run through `Tapeworm::service_burst`
+//! (the handler's own table steps, one deferred clock advance) instead
+//! of bouncing trap-by-trap between simulator and kernel. That is one
+//! path for every cache geometry: the single cache and the split I-side
+//! with any indexing, replacement, associativity or set sampling. Like
+//! the resident-run fast path, the batch is only legal because it is
 //! *bit-identical* to stepwise servicing — same `TrialResult`, same
 //! ring-event timestamps, same counters (minus the batch bookkeeping
-//! itself). This suite pins that equivalence for every simulator mode,
-//! serial and parallel sweeps, and both kill switches:
-//! `SystemConfig::with_miss_batch(false)` and the `TW_BATCH=0`
-//! environment knob.
+//! itself). This suite pins that equivalence for every simulator mode
+//! and each kind of cache geometry, serial and parallel sweeps, and
+//! both kill switches: `SystemConfig::with_miss_batch(false)` and the
+//! `TW_BATCH=0` environment knob.
 
 use std::sync::{Mutex, MutexGuard};
 
-use tapeworm::core::{CacheConfig, TlbSimConfig};
+use tapeworm::core::{CacheConfig, Indexing, Replacement, TlbSimConfig};
 use tapeworm::obs::CounterId;
 use tapeworm::sim::{
-    run_sweep, run_trial_observed, ComponentSet, ObsConfig, SystemConfig, TrialResult,
+    run_sweep, run_trial_observed, ComponentSet, ObsConfig, SimModel, SystemConfig, TrialResult,
 };
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
@@ -41,9 +43,16 @@ fn dm(kb: u64) -> CacheConfig {
     CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
 }
 
+fn two_way(kb: u64) -> CacheConfig {
+    CacheConfig::new(kb * 1024, 16, 2).expect("valid geometry")
+}
+
 /// One configuration per simulator mode, same shapes as the golden
-/// determinism matrix. The miss-rich `user_only` cache config mirrors
-/// the throughput gate, where batching matters most.
+/// determinism matrix, then one per kind of cache geometry: set spans
+/// below a page, random replacement, virtual indexing and set sampling,
+/// on the single cache and the split I-side. The miss-rich `user_only`
+/// cache configs mirror the throughput gate, where batching matters
+/// most.
 fn modes() -> Vec<(&'static str, SystemConfig)> {
     vec![
         (
@@ -72,7 +81,58 @@ fn modes() -> Vec<(&'static str, SystemConfig)> {
             "buffer",
             SystemConfig::kernel_trace_buffer(Workload::MpegPlay, dm(4)).with_scale(SCALE),
         ),
+        (
+            "cache-2way-4k",
+            SystemConfig::cache(Workload::MpegPlay, two_way(4)).with_scale(SCALE),
+        ),
+        (
+            "cache-1k-user-only",
+            SystemConfig::cache(Workload::MpegPlay, dm(1))
+                .with_components(ComponentSet::user_only())
+                .with_scale(SCALE),
+        ),
+        (
+            "cache-4way-random",
+            SystemConfig::cache(
+                Workload::Espresso,
+                CacheConfig::new(8 * 1024, 16, 4)
+                    .expect("valid geometry")
+                    .with_replacement(Replacement::Random),
+            )
+            .with_scale(SCALE),
+        ),
+        (
+            "cache-virtual",
+            SystemConfig::cache(Workload::MpegPlay, dm(8).with_indexing(Indexing::Virtual))
+                .with_scale(SCALE),
+        ),
+        (
+            "cache-sampled",
+            SystemConfig::cache(Workload::MpegPlay, dm(16))
+                .with_sampling(8)
+                .with_scale(SCALE),
+        ),
+        (
+            "split-2way",
+            SystemConfig::split(Workload::JpegPlay, two_way(4), two_way(4)).with_scale(SCALE),
+        ),
+        (
+            "split-virtual-i",
+            SystemConfig::split(
+                Workload::JpegPlay,
+                dm(4).with_indexing(Indexing::Virtual),
+                dm(4),
+            )
+            .with_scale(SCALE),
+        ),
     ]
+}
+
+/// The modes whose misses can take the burst path: the single cache
+/// and the split I-side (the two-level hierarchy's L2-dependent cost
+/// stays stepwise).
+fn bursting(cfg: &SystemConfig) -> bool {
+    matches!(cfg.model, SimModel::Cache(_) | SimModel::SplitCache { .. })
 }
 
 fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
@@ -80,18 +140,16 @@ fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
 }
 
 /// Counters that legitimately differ between batched and stepwise
-/// servicing: the batch bookkeeping itself, and the fast-path tallies
-/// (the burst hands different residues to the clean-run batcher).
+/// servicing: the batch bookkeeping itself (flushes, and the burst
+/// tally that equals them), and the fast-path tallies (the burst hands
+/// different residues to the clean-run batcher).
 fn batch_bookkeeping(id: CounterId) -> bool {
     matches!(
         id,
         CounterId::MissBatchFlushes
-            | CounterId::VictimMemoHits
             | CounterId::FastRuns
             | CounterId::FastWords
-            | CounterId::SchedReplays
             | CounterId::SchedRecords
-            | CounterId::SchedSigMisses
     )
 }
 
@@ -157,9 +215,11 @@ fn miss_batch_preserves_ring_event_timestamps() {
     }
 }
 
-/// The batch engages where it is supposed to — the miss-rich gate-shaped
-/// config flushes coalesced bursts — and never engages when disabled via
-/// the config knob.
+/// The batch engages where it is supposed to — every cache and split
+/// mode serves bursts, each flush being one burst served through
+/// `service_burst` — and never engages when disabled via the config
+/// knob. The retired slots (replay, signature misses, victim memo)
+/// read 0.
 #[test]
 fn miss_batch_engages_exactly_where_expected() {
     let _guard = env_lock();
@@ -167,24 +227,32 @@ fn miss_batch_engages_exactly_where_expected() {
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
 
+    for (label, cfg) in modes() {
+        let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
+        let c = |id| m.counters.get(id);
+        if bursting(&cfg) {
+            assert!(
+                c(CounterId::SchedRecords) > 0,
+                "{label}: never served a burst"
+            );
+        }
+        assert_eq!(
+            c(CounterId::SchedRecords),
+            c(CounterId::MissBatchFlushes),
+            "{label}: a flush that was not one served burst"
+        );
+        for retired in [
+            CounterId::SchedReplays,
+            CounterId::SchedSigMisses,
+            CounterId::VictimMemoHits,
+        ] {
+            assert_eq!(c(retired), 0, "{label}: retired {retired} counted");
+        }
+    }
+
     let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4))
         .with_components(ComponentSet::user_only())
         .with_scale(SCALE);
-    let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(
-        m.counters.get(CounterId::MissBatchFlushes) > 0,
-        "miss-rich config never flushed a batch"
-    );
-    // The victim memo only services bursts when the miss schedule is
-    // not short-circuiting them, so pin its engagement with the
-    // schedule disabled.
-    let memo_cfg = cfg.clone().with_miss_schedule(false);
-    let (_, m) = run_trial_observed(&memo_cfg, base, trial, ObsConfig::default());
-    assert!(
-        m.counters.get(CounterId::VictimMemoHits) > 0,
-        "batch never reused a memoized victim"
-    );
-
     let off = cfg.with_miss_batch(false);
     let (_, m) = run_trial_observed(&off, base, trial, ObsConfig::default());
     assert_eq!(
