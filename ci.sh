@@ -37,21 +37,21 @@
 #      the per-op numbers are recorded, not gated.
 #   7c. Memory-footprint gate: a smoke sweep over 64 GiB of simulated
 #      physical memory must complete with max RSS under the ceiling
-#      checked into perf_throughput (--large-mem). Only possible on the
-#      sparse demand-allocated backing; a dense trap bitmap at that
-#      size would be gigabytes. SKIPs honestly where /proc/self/status
-#      has no VmHWM.
+#      checked into perf_throughput (--large-mem). Only possible because
+#      physical state is demand-allocated; a materialized trap bitmap
+#      at that size would be gigabytes. SKIPs honestly where
+#      /proc/self/status has no VmHWM.
 #   8. Sweep-service smoke: submit specs/ci_smoke.toml, drain it
 #      through the subprocess worker backend, gate the digest against
 #      the golden pin (also pinned in tests/server_e2e.rs and
 #      crates/server/tests/server_e2e.rs), re-run for a fingerprint
 #      cache hit with the identical digest, and validate the JSONL run
 #      sink's metrics lines against the tapeworm-metrics-v1 schema.
-#   9. Sparse/dense differential gate: the same service smoke spec run
-#      with TW_SPARSE=0 (dense) and TW_SPARSE=1 (sparse), both against
-#      fresh queues so neither can hit the fingerprint cache, must both
-#      land on the golden digest — the backing layout is load-bearing
-#      for footprint, never for results.
+#   9. Library crates read no environment: `env::var` must not appear
+#      in the sources of core, mem, machine, os, sim, obs, stats, trace
+#      or workload. TW_* knobs are resolved at the process edge (the
+#      bench binaries, the server CLI, twbench) and passed down as
+#      configuration.
 #  10. Sweep-planner differential gate: specs/ci_planner.toml (pruned)
 #      and specs/ci_planner_full.toml (the identical grid, planner off)
 #      drained through the service. The pruned run must actually save
@@ -59,8 +59,8 @@
 #      the full twin's sink (simulated cells are ground truth, never
 #      perturbed by pruning), its sink must tag estimates with
 #      provenance (`estimated: true`, `model: kessler-v1`) and carry
-#      the planner counters, and `TW_PLAN=0` must force the full
-#      engine. Then `perf_throughput --plan` gates the ≥2x trial
+#      the planner counters, and `TW_PLAN=0` (read by the server CLI)
+#      must force the full engine. Then `perf_throughput --plan` gates the ≥2x trial
 #      saving and the declared interpolation error bound on a 24-cell
 #      sweep.
 #  11. Repository benchmark build gate: twbench (its own package, built
@@ -297,25 +297,12 @@ grep -q "\"digest\": \"$SERVICE_GOLDEN_DIGEST\"" "$sink" || {
   echo "ci.sh: run-sink digest footer does not match golden" >&2; exit 1;
 }
 
-echo "=== tier 2: sparse/dense differential gate ==="
-# Same smoke spec, both backings, fresh queues each time so neither
-# run can be served from the fingerprint cache: the sparse layout must
-# be invisible in the results. Any digest drift here means a chunk
-# boundary leaked into simulation state.
-for sparse in 0 1; do
-  queue="results/ci_queue_sparse$sparse"
-  out="results/server_smoke_sparse$sparse.txt"
-  rm -rf "$queue"
-  TW_SPARSE=$sparse ./target/release/tapeworm-server once --queue "$queue" \
-    specs/ci_smoke.toml | tee "$out"
-  grep -q "from_cache=false" "$out" || {
-    echo "ci.sh: TW_SPARSE=$sparse differential run unexpectedly hit the cache" >&2; exit 1;
-  }
-  grep -q "digest=$SERVICE_GOLDEN_DIGEST" "$out" || {
-    echo "ci.sh: TW_SPARSE=$sparse digest diverged from golden $SERVICE_GOLDEN_DIGEST" >&2; exit 1;
-  }
-done
-echo "ci.sh: sparse and dense backings agree on $SERVICE_GOLDEN_DIGEST"
+echo "=== tier 2: library crates read no environment ==="
+# A knob read inside a library changes results without appearing in
+# any config, spec or fingerprint; knobs belong to the binaries.
+if grep -rn 'env::var' crates/{core,mem,machine,os,sim,obs,stats,trace,workload}/src; then
+  echo "ci.sh: library crates read the environment (env::var above)" >&2; exit 1;
+fi
 
 echo "=== tier 2: sweep-planner differential gate ==="
 # The pruned spec and its full twin share one queue (their fingerprints

@@ -74,6 +74,10 @@ fn main() {
             "tlb-exits",
             SystemConfig::tlb(Workload::Ousterhout, TlbSimConfig::r3000()).with_scale(SCALE),
         ),
+        (
+            "buffer",
+            SystemConfig::kernel_trace_buffer(Workload::MpegPlay, dm(4)).with_scale(SCALE),
+        ),
     ];
     for (label, cfg) in &cases {
         let r = run_trial(cfg, base, trial(label));

@@ -46,7 +46,6 @@
 //!   full sweep's trials AND every interpolated cell's miss estimate is
 //!   within its own declared error bound of the full sweep's measured
 //!   mean. Prints both wall times and the max interpolation error.
-//!   Skips honestly when `TW_PLAN=0` forces the planner off.
 //!
 //! Environment: `TW_SEED` (base seed), `TW_THREADS` (the "N" of the
 //! thread ladder), `TW_BASELINE` (override the recorded pre-change
@@ -63,14 +62,14 @@ use tapeworm_bench::{
 use tapeworm_core::{CacheConfig, Indexing, TlbSimConfig};
 use tapeworm_obs::{write_atomic, CounterId, MetricsReport};
 use tapeworm_sim::{
-    run_sweep, run_sweep_planned, schedule_helper_trials, ComponentSet, PlanMode, PlannedCell,
-    PlannerConfig, SweepOptions, SystemConfig,
+    run_sweep, run_sweep_planned, schedule_helper_trials, ComponentSet, PlannedCell, PlannerConfig,
+    SweepOptions, SystemConfig,
 };
 use tapeworm_workload::Workload;
 
 /// Single-thread references/second measured on this machine *before*
 /// the resident-run fast path landed: this same harness and matrix
-/// with `TW_FAST=0` (per-chunk dispatch for every reference), median
+/// with the fast path off (per-chunk dispatch for every reference), median
 /// of three interleaved runs. Override with `TW_BASELINE` when
 /// re-baselining on different hardware.
 const PRE_CHANGE_BASELINE_REFS_PER_SEC: f64 = 203_000_000.0;
@@ -205,8 +204,7 @@ fn plan_matrix() -> Vec<SystemConfig> {
 
 /// The `--plan` mode: the ci.sh sweep-planner gate. Exits 1 when the
 /// planner saves fewer than half the trials or any interpolated cell
-/// breaks its declared bound; exits 0 on pass or honest kill-switch
-/// skip.
+/// breaks its declared bound; exits 0 on pass.
 fn run_plan_gate() -> ! {
     let trials = 4usize;
     let configs = plan_matrix();
@@ -223,11 +221,6 @@ fn run_plan_gate() -> ! {
     let start = Instant::now();
     let pruned = run_sweep_planned(&configs, trials, seed, &options, &PlannerConfig::pruned());
     let pruned_wall = start.elapsed().as_secs_f64();
-
-    if pruned.mode() == PlanMode::Full {
-        println!("plan gate SKIPPED: TW_PLAN forces the full engine, nothing to compare");
-        std::process::exit(0);
-    }
 
     let full_trials = (configs.len() * trials) as u64;
     let pruned_trials = full_trials - pruned.trials_saved();

@@ -1,7 +1,5 @@
 //! Profiling driver: loops a single gate-matrix config so a sampling
-//! profiler (or plain wall-clock A/B with the `TW_FAST`/`TW_BATCH`
-//! knobs; `TW_BATCH=0` turns off all burst service, set-state bursts
-//! included) sees one undiluted hot path instead of the blended
+//! profiler sees one undiluted hot path instead of the blended
 //! matrix. Usage: `profile_one [4k|64k|tlb] [reps]`. Prints total
 //! simulated instructions so runs are comparable. Not part of the
 //! benchmark matrix and writes no artifacts; paired speed claims come

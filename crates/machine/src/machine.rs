@@ -63,10 +63,6 @@ pub struct MachineConfig {
     pub breakpoint_registers: usize,
     /// Host cache write-miss policy.
     pub write_policy: WritePolicy,
-    /// Back the trap map with demand-allocated chunks (zero-chunk
-    /// dedup) instead of eagerly materialized storage. Behaviour is
-    /// bit-identical either way; only the host footprint differs.
-    pub sparse_mem: bool,
 }
 
 impl Default for MachineConfig {
@@ -79,7 +75,6 @@ impl Default for MachineConfig {
             clock_period: 250_000,
             breakpoint_registers: 4,
             write_policy: WritePolicy::NoAllocateOnWrite,
-            sparse_mem: true,
         }
     }
 }
@@ -134,12 +129,7 @@ impl Machine {
     /// identical to a freshly built machine.
     pub fn new_reusing(config: MachineConfig, scratch: MachineScratch) -> Self {
         Machine {
-            traps: TrapMap::with_storage_mode(
-                config.mem_bytes,
-                config.trap_granule,
-                config.sparse_mem,
-                scratch.traps,
-            ),
+            traps: TrapMap::with_storage(config.mem_bytes, config.trap_granule, scratch.traps),
             clock: IntervalClock::new(config.clock_period),
             breakpoints: Breakpoints::new(config.breakpoint_registers),
             interrupts_enabled: true,
@@ -382,7 +372,6 @@ mod tests {
             clock_period: 1000,
             breakpoint_registers: 2,
             write_policy: WritePolicy::NoAllocateOnWrite,
-            sparse_mem: true,
         })
     }
 

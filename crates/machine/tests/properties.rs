@@ -70,7 +70,6 @@ proptest! {
             clock_period: 1000,
             breakpoint_registers: 0,
             write_policy: policy,
-            sparse_mem: true,
         });
         let pa = PhysAddr::new(0x400);
         let va = VirtAddr::new(0x400);

@@ -132,18 +132,6 @@ impl EccMemory {
     ///
     /// Panics if `bytes` is not a multiple of the word size.
     pub fn with_policy(bytes: u64, write_policy: WritePolicy) -> Self {
-        Self::with_policy_mode(bytes, write_policy, true)
-    }
-
-    /// Creates memory with an explicit [`WritePolicy`] and backing
-    /// mode: `sparse` demand-allocates chunks, `!sparse`
-    /// pre-materializes everything (dense, the `TW_SPARSE=0`
-    /// behaviour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not a multiple of the word size.
-    pub fn with_policy_mode(bytes: u64, write_policy: WritePolicy, sparse: bool) -> Self {
         assert!(
             bytes % WORD_BYTES == 0,
             "memory size must be a whole number of words"
@@ -152,8 +140,8 @@ impl EccMemory {
         let codec = Codec::new();
         let zero_check = codec.encode(0);
         EccMemory {
-            words: SparseVec::new(n, 0, !sparse),
-            checks: SparseVec::new(n, zero_check, !sparse),
+            words: SparseVec::new(n, 0),
+            checks: SparseVec::new(n, zero_check),
             codec,
             write_policy,
         }
@@ -173,13 +161,6 @@ impl EccMemory {
     /// backing.
     pub fn sparse_stats(&self) -> SparseStats {
         self.words.stats().merge(self.checks.stats())
-    }
-
-    /// Re-canonicalizes backing chunks whose content has returned to
-    /// the zeroed-memory fill (the cold-chunk compaction tier).
-    /// Returns the number of chunks reclaimed; no-op in dense mode.
-    pub fn compact(&mut self) -> u64 {
-        self.words.compact() + self.checks.compact()
     }
 
     fn index(&self, pa: PhysAddr) -> Result<usize, OutOfRangeError> {
@@ -498,33 +479,43 @@ mod tests {
             stats.chunks_allocated <= 2,
             "one word + its check bits is two chunks at most, got {stats:?}"
         );
-        // Undoing the writes and compacting returns to fully shared.
+        // Undoing the writes restores zeroed-memory reads.
         mem.clear_trap(far, 4).unwrap();
         mem.write_word(far, 0).unwrap();
-        assert!(mem.compact() >= 1);
-        assert_eq!(mem.sparse_stats().chunks_allocated, 0);
+        assert_eq!(mem.read_word(far).unwrap(), MemoryEvent::Clean(0));
+        assert_eq!(mem.diag_check_bits(far).unwrap(), Codec::new().encode(0));
     }
 
-    /// Dense (`TW_SPARSE=0`) and sparse memories behave identically.
+    /// The chunked memory reads exactly what a plain `Vec` of words
+    /// and trap flags predicts: data, trap events and raw check bits.
     #[test]
-    fn dense_mode_matches_sparse_behaviour() {
-        let mut sparse = EccMemory::with_policy_mode(1024, WritePolicy::default(), true);
-        let mut dense = EccMemory::with_policy_mode(1024, WritePolicy::default(), false);
-        assert_eq!(dense.sparse_stats().zero_chunks_deduped, 0);
+    fn memory_matches_a_plain_vec_model() {
+        let mut mem = EccMemory::with_policy(1024, WritePolicy::default());
+        let codec = Codec::new();
+        let mut data = vec![0u32; 1024 / 4];
+        let mut trapped = vec![false; 1024 / 4];
         for off in (0..1024).step_by(52) {
             let pa = PhysAddr::new(off);
-            sparse.write_word(pa, off as u32).unwrap();
-            dense.write_word(pa, off as u32).unwrap();
-            sparse.set_trap(pa, 4).unwrap();
-            dense.set_trap(pa, 4).unwrap();
+            mem.write_word(pa, off as u32).unwrap();
+            data[off as usize / 4] = off as u32;
+            mem.set_trap(pa, 4).unwrap();
+            trapped[off as usize / 4] = true;
         }
         for off in (0..1024).step_by(4) {
             let pa = PhysAddr::new(off);
-            assert_eq!(sparse.read_word(pa).unwrap(), dense.read_word(pa).unwrap());
-            assert_eq!(
-                sparse.diag_check_bits(pa).unwrap(),
-                dense.diag_check_bits(pa).unwrap()
-            );
+            let (word, trap) = (data[off as usize / 4], trapped[off as usize / 4]);
+            let expected = if trap {
+                MemoryEvent::TapewormTrap(word)
+            } else {
+                MemoryEvent::Clean(word)
+            };
+            let check = if trap {
+                codec.set_trap(codec.encode(word))
+            } else {
+                codec.encode(word)
+            };
+            assert_eq!(mem.read_word(pa).unwrap(), expected);
+            assert_eq!(mem.diag_check_bits(pa).unwrap(), check);
         }
     }
 }

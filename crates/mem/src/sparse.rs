@@ -18,10 +18,9 @@
 //! unmaterialized chunk are no-ops, which is what keeps bulk *clears*
 //! over untouched memory from faulting anything in.
 //!
-//! The `eager` flag pre-materializes every chunk at construction —
-//! the dense mode behind the `TW_SPARSE=0` kill switch. Both modes go
-//! through the same load/store code, so results are bit-identical by
-//! construction; only host allocation behaviour differs.
+//! This is the only layout: results depend on which elements hold
+//! what, never on how the host stores them, so an eagerly materialized
+//! twin would only cost memory (DESIGN §14).
 
 use std::fmt;
 
@@ -77,7 +76,7 @@ pub struct SparseStats {
     /// dense representation would have committed but this one dedups.
     pub zero_chunks_deduped: u64,
     /// Lifetime demand-materialization events (first changing store
-    /// into a shared chunk). Zero in eager/dense mode.
+    /// into a shared chunk).
     pub chunk_faults: u64,
 }
 
@@ -126,7 +125,7 @@ impl<T> Default for SparseStorage<T> {
 /// ```
 /// use tapeworm_mem::SparseVec;
 ///
-/// let mut v: SparseVec<u64> = SparseVec::new(1 << 20, 0, false);
+/// let mut v: SparseVec<u64> = SparseVec::new(1 << 20, 0);
 /// assert_eq!(v.load(999_999), 0); // untouched: reads the fill
 /// v.store(4096, 7);
 /// assert_eq!(v.load(4096), 7);
@@ -141,10 +140,8 @@ pub struct SparseVec<T: SparseElem> {
     shift: u32,
     mask: usize,
     fill: T,
-    eager: bool,
     table: Vec<u32>,
     arena: Vec<T>,
-    free_slots: Vec<u32>,
     live_chunks: u64,
     chunk_faults: u64,
 }
@@ -156,52 +153,35 @@ impl<T: SparseElem> SparseVec<T> {
     }
 
     /// Creates a vector of `len` elements, all logically `fill`.
-    /// `eager` pre-materializes every chunk (dense mode).
-    pub fn new(len: usize, fill: T, eager: bool) -> Self {
-        Self::with_storage(len, fill, eager, SparseStorage::default())
+    pub fn new(len: usize, fill: T) -> Self {
+        Self::with_storage(len, fill, SparseStorage::default())
     }
 
     /// Like [`SparseVec::new`] but reusing the heap buffers of a
     /// retired vector ([`SparseVec::into_storage`]). The result is
     /// all-`fill` regardless of what the donor held.
-    pub fn with_storage(len: usize, fill: T, eager: bool, storage: SparseStorage<T>) -> Self {
+    pub fn with_storage(len: usize, fill: T, storage: SparseStorage<T>) -> Self {
         let chunk = Self::chunk_elems();
-        let chunks = len.div_ceil(chunk);
         let SparseStorage {
             mut table,
             mut arena,
         } = storage;
         table.clear();
+        table.resize(len.div_ceil(chunk), 0);
         arena.clear();
         // Slot 0: the canonical fill chunk every untouched chunk shares.
         arena.resize(chunk, fill);
-        let mut v = SparseVec {
+        SparseVec {
             len,
             chunk,
             shift: chunk.trailing_zeros(),
             mask: chunk - 1,
             fill,
-            eager,
             table,
             arena,
-            free_slots: Vec::new(),
             live_chunks: 0,
             chunk_faults: 0,
-        };
-        if eager {
-            v.table.reserve(chunks);
-            for c in 0..chunks {
-                // Dense mode commits everything up front; these are
-                // not demand faults, so `chunk_faults` stays 0.
-                let slot = (c + 1) as u32;
-                v.table.push(slot);
-            }
-            v.arena.resize((chunks + 1) * chunk, fill);
-            v.live_chunks = chunks as u64;
-        } else {
-            v.table.resize(chunks, 0);
         }
-        v
     }
 
     /// Tears the vector down to its reusable heap buffers.
@@ -227,11 +207,6 @@ impl<T: SparseElem> SparseVec<T> {
         self.fill
     }
 
-    /// `true` in eager/dense mode (every chunk pre-materialized).
-    pub fn is_eager(&self) -> bool {
-        self.eager
-    }
-
     /// Number of logical chunks.
     pub fn chunks(&self) -> usize {
         self.table.len()
@@ -245,8 +220,8 @@ impl<T: SparseElem> SparseVec<T> {
 
     /// `true` when chunk `c` still shares the canonical fill chunk
     /// (every element in it reads `fill`). A materialized chunk whose
-    /// content happens to equal the fill reads `false` until
-    /// [`SparseVec::compact`] reclaims it.
+    /// content happens to equal the fill reads `false` until the next
+    /// [`SparseVec::reset`].
     #[inline]
     pub fn chunk_is_canonical(&self, c: usize) -> bool {
         self.table[c] == 0
@@ -308,64 +283,20 @@ impl<T: SparseElem> SparseVec<T> {
     /// Gives chunk `c` private backing initialized to `fill`.
     #[cold]
     fn materialize(&mut self, c: usize) -> u32 {
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                let base = (s as usize) << self.shift;
-                self.arena[base..base + self.chunk].fill(self.fill);
-                s
-            }
-            None => {
-                let s = (self.arena.len() >> self.shift) as u32;
-                self.arena.resize(self.arena.len() + self.chunk, self.fill);
-                s
-            }
-        };
+        let slot = (self.arena.len() >> self.shift) as u32;
+        self.arena.resize(self.arena.len() + self.chunk, self.fill);
         self.table[c] = slot;
         self.live_chunks += 1;
         self.chunk_faults += 1;
         slot
     }
 
-    /// Resets every element to `fill`. Sparse mode drops all private
-    /// chunks back to the canonical chunk; eager mode refills in
-    /// place (staying fully committed, as dense storage would).
+    /// Resets every element to `fill`, dropping all private chunks
+    /// back to the canonical chunk.
     pub fn reset(&mut self) {
-        if self.eager {
-            self.arena.fill(self.fill);
-        } else {
-            self.table.fill(0);
-            self.arena.truncate(self.chunk);
-            self.free_slots.clear();
-            self.live_chunks = 0;
-        }
-    }
-
-    /// Re-canonicalizes every materialized chunk whose content has
-    /// returned to all-`fill`, freeing its backing for reuse — the
-    /// simple cold-chunk compaction tier. Returns the number of
-    /// chunks reclaimed. No-op in eager/dense mode.
-    pub fn compact(&mut self) -> u64 {
-        if self.eager {
-            return 0;
-        }
-        let mut reclaimed = 0;
-        for c in 0..self.table.len() {
-            let slot = self.table[c];
-            if slot == 0 {
-                continue;
-            }
-            let base = (slot as usize) << self.shift;
-            if self.arena[base..base + self.chunk]
-                .iter()
-                .all(|&x| x == self.fill)
-            {
-                self.table[c] = 0;
-                self.free_slots.push(slot);
-                self.live_chunks -= 1;
-                reclaimed += 1;
-            }
-        }
-        reclaimed
+        self.table.fill(0);
+        self.arena.truncate(self.chunk);
+        self.live_chunks = 0;
     }
 
     /// Current allocation counters.
@@ -377,14 +308,16 @@ impl<T: SparseElem> SparseVec<T> {
         }
     }
 
-    /// Serializes the logical state (plus allocation mode and fault
-    /// count) as `u64` words: a header, then each materialized chunk
-    /// run-length encoded — the checkpoint form of sparse state.
+    /// Serializes the logical state (plus fault count) as `u64` words:
+    /// a header, then each materialized chunk run-length encoded — the
+    /// checkpoint form of sparse state.
     pub fn encode_words(&self, out: &mut Vec<u64>) {
         out.push(self.len as u64);
         out.push(self.chunk as u64);
         out.push(self.fill.to_u64());
-        out.push(u64::from(self.eager));
+        // Mode word: always 0. Payloads from the retired dense layout
+        // carry 1 here and decode to the same logical state.
+        out.push(0);
         out.push(self.chunk_faults);
         let live: Vec<usize> = (0..self.table.len())
             .filter(|&c| self.table[c] != 0)
@@ -412,23 +345,27 @@ impl<T: SparseElem> SparseVec<T> {
         }
     }
 
-    /// Rebuilds a vector from [`SparseVec::encode_words`] output.
+    /// Rebuilds a vector of `len` elements from
+    /// [`SparseVec::encode_words`] output. `len` comes from the
+    /// caller's geometry, never from the payload: a header that
+    /// disagrees with it, or a length whose chunk table would overflow
+    /// the `u32` arena slots, is rejected before anything is allocated.
     /// `None` on any structural mismatch (including a chunk geometry
     /// encoded for a different element type).
-    pub fn decode_words<I: Iterator<Item = u64>>(words: &mut I) -> Option<Self> {
-        let len = usize::try_from(words.next()?).ok()?;
-        let chunk = usize::try_from(words.next()?).ok()?;
-        if chunk != Self::chunk_elems() {
+    pub fn decode_words<I: Iterator<Item = u64>>(words: &mut I, len: usize) -> Option<Self> {
+        let chunk = Self::chunk_elems();
+        if words.next()? != len as u64
+            || words.next()? != chunk as u64
+            || len.div_ceil(chunk) > u32::MAX as usize
+        {
             return None;
         }
         let fill = T::try_from_u64(words.next()?)?;
-        let eager = match words.next()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
+        if words.next()? > 1 {
+            return None;
+        }
         let chunk_faults = words.next()?;
-        let mut v = Self::new(len, fill, eager);
+        let mut v = Self::new(len, fill);
         let live = usize::try_from(words.next()?).ok()?;
         for _ in 0..live {
             let c = usize::try_from(words.next()?).ok()?;
@@ -441,16 +378,14 @@ impl<T: SparseElem> SparseVec<T> {
             for _ in 0..runs {
                 let value = T::try_from_u64(words.next()?)?;
                 let n = usize::try_from(words.next()?).ok()?;
-                if i + n > end {
-                    return None;
-                }
+                let stop = i.checked_add(n).filter(|&stop| stop <= end)?;
                 // Tail elements of the last chunk past `len` are fill
                 // by invariant, so these stores never write non-fill
                 // out of logical range.
-                for j in i..i + n {
+                for j in i..stop {
                     v.store(j, value);
                 }
-                i += n;
+                i = stop;
             }
             if i != end {
                 return None;
@@ -464,7 +399,7 @@ impl<T: SparseElem> SparseVec<T> {
 /// Logical-content equality: two vectors are equal when every element
 /// reads the same, regardless of which chunks are materialized — an
 /// unmaterialized chunk equals a materialized one that holds the
-/// fill. Allocation mode and fault counters are excluded.
+/// fill. Fault counters are excluded.
 impl<T: SparseElem> PartialEq for SparseVec<T> {
     fn eq(&self, other: &Self) -> bool {
         if self.len != other.len {
@@ -514,7 +449,7 @@ mod tests {
 
     #[test]
     fn untouched_elements_read_fill_without_allocating() {
-        let v: SparseVec<u64> = SparseVec::new(1 << 22, 0, false);
+        let v: SparseVec<u64> = SparseVec::new(1 << 22, 0);
         assert_eq!(v.load(0), 0);
         assert_eq!(v.load((1 << 22) - 1), 0);
         assert_eq!(v.stats().chunks_allocated, 0);
@@ -524,7 +459,7 @@ mod tests {
 
     #[test]
     fn fill_store_into_shared_chunk_is_free() {
-        let mut v: SparseVec<u32> = SparseVec::new(1 << 20, 0, false);
+        let mut v: SparseVec<u32> = SparseVec::new(1 << 20, 0);
         v.store(12345, 0);
         assert_eq!(v.stats().chunks_allocated, 0);
         assert_eq!(v.stats().chunk_faults, 0);
@@ -532,7 +467,7 @@ mod tests {
 
     #[test]
     fn changing_store_faults_exactly_one_chunk() {
-        let mut v: SparseVec<u64> = SparseVec::new(1 << 20, 0, false);
+        let mut v: SparseVec<u64> = SparseVec::new(1 << 20, 0);
         v.store(1000, 7);
         v.store(1001, 8); // same chunk: no second fault
         assert_eq!(v.load(1000), 7);
@@ -546,7 +481,7 @@ mod tests {
 
     #[test]
     fn nonzero_fill_round_trips() {
-        let mut v: SparseVec<u8> = SparseVec::new(10_000, 0x5a, false);
+        let mut v: SparseVec<u8> = SparseVec::new(10_000, 0x5a);
         assert_eq!(v.load(9_999), 0x5a);
         v.store(4, 0x5a); // fill store: free
         assert_eq!(v.stats().chunks_allocated, 0);
@@ -555,37 +490,34 @@ mod tests {
         assert_eq!(v.load(5), 0x5a);
     }
 
+    /// Property: under random stores (zeros common), every load agrees
+    /// with a plain `Vec` model, and the vector equals one rebuilt
+    /// from the model's contents.
     #[test]
-    fn eager_mode_commits_everything_with_zero_faults() {
-        let v: SparseVec<u32> = SparseVec::new(5000, 0, true);
-        let s = v.stats();
-        assert_eq!(s.chunks_allocated, v.chunks() as u64);
-        assert_eq!(s.zero_chunks_deduped, 0);
-        assert_eq!(s.chunk_faults, 0);
-        assert_eq!(v.load(4999), 0);
-    }
-
-    #[test]
-    fn sparse_and_eager_agree_under_random_ops() {
+    fn sparse_vec_matches_a_plain_vec_model_under_random_ops() {
         let mut s = 0x1234_5678_9abc_def0u64;
-        let mut sparse: SparseVec<u32> = SparseVec::new(100_000, 0, false);
-        let mut eager: SparseVec<u32> = SparseVec::new(100_000, 0, true);
+        let mut sparse: SparseVec<u32> = SparseVec::new(100_000, 0);
+        let mut model = vec![0u32; 100_000];
         for _ in 0..5_000 {
             let i = (splitmix(&mut s) % 100_000) as usize;
             let val = (splitmix(&mut s) % 5) as u32; // zeros common
             sparse.store(i, val);
-            eager.store(i, val);
+            model[i] = val;
         }
         for i in (0..100_000).step_by(7) {
-            assert_eq!(sparse.load(i), eager.load(i));
+            assert_eq!(sparse.load(i), model[i]);
         }
-        assert_eq!(sparse, eager, "logical equality across modes");
+        let mut rebuilt: SparseVec<u32> = SparseVec::new(100_000, 0);
+        for (i, &val) in model.iter().enumerate() {
+            rebuilt.store(i, val);
+        }
+        assert_eq!(sparse, rebuilt, "logical equality with the model");
     }
 
     #[test]
     fn equality_is_logical_not_structural() {
-        let mut a: SparseVec<u64> = SparseVec::new(4096, 0, false);
-        let b: SparseVec<u64> = SparseVec::new(4096, 0, false);
+        let mut a: SparseVec<u64> = SparseVec::new(4096, 0);
+        let b: SparseVec<u64> = SparseVec::new(4096, 0);
         a.store(10, 1);
         assert_ne!(a, b);
         a.store(10, 0); // chunk now materialized but all-zero
@@ -595,7 +527,7 @@ mod tests {
 
     #[test]
     fn reset_returns_to_all_fill() {
-        let mut v: SparseVec<u64> = SparseVec::new(1 << 16, 0, false);
+        let mut v: SparseVec<u64> = SparseVec::new(1 << 16, 0);
         for i in 0..100 {
             v.store(i * 600, 1);
         }
@@ -604,32 +536,14 @@ mod tests {
         assert_eq!(v.stats().chunks_allocated, 0);
         assert_eq!(v.stats().chunk_faults, faults, "faults are lifetime");
         assert_eq!(v.load(600), 0);
-        assert_eq!(v, SparseVec::new(1 << 16, 0, false));
-    }
-
-    #[test]
-    fn compact_reclaims_all_fill_chunks_and_reuses_slots() {
-        let mut v: SparseVec<u64> = SparseVec::new(1 << 16, 0, false);
-        v.store(0, 1);
-        v.store(600, 2);
-        v.store(0, 0); // first chunk back to all-zero
-        assert_eq!(v.stats().chunks_allocated, 2);
-        assert_eq!(v.compact(), 1);
-        assert_eq!(v.stats().chunks_allocated, 1);
-        assert_eq!(v.load(0), 0);
-        assert_eq!(v.load(600), 2);
-        // The freed slot is reused by the next fault.
-        let arena_chunks_before = v.stats().chunks_allocated;
-        v.store(0, 3);
-        assert_eq!(v.stats().chunks_allocated, arena_chunks_before + 1);
-        assert_eq!(v.load(0), 3);
+        assert_eq!(v, SparseVec::new(1 << 16, 0));
     }
 
     #[test]
     fn storage_reuse_yields_a_pristine_vector() {
-        let mut v: SparseVec<u32> = SparseVec::new(4096, 0, false);
+        let mut v: SparseVec<u32> = SparseVec::new(4096, 0);
         v.store(7, 9);
-        let reused: SparseVec<u32> = SparseVec::with_storage(8192, 3, false, v.into_storage());
+        let reused: SparseVec<u32> = SparseVec::with_storage(8192, 3, v.into_storage());
         assert_eq!(reused.len(), 8192);
         assert_eq!(reused.load(7), 3);
         assert_eq!(reused.stats().chunks_allocated, 0);
@@ -639,14 +553,14 @@ mod tests {
     #[test]
     fn snapshot_round_trips_sparse_state() {
         let mut s = 0xfeed_f00d_dead_beefu64;
-        let mut v: SparseVec<u64> = SparseVec::new(50_000, 0, false);
+        let mut v: SparseVec<u64> = SparseVec::new(50_000, 0);
         for _ in 0..300 {
             let i = (splitmix(&mut s) % 50_000) as usize;
             v.store(i, splitmix(&mut s) % 16);
         }
         let mut words = Vec::new();
         v.encode_words(&mut words);
-        let back = SparseVec::<u64>::decode_words(&mut words.into_iter()).expect("decodes");
+        let back = SparseVec::<u64>::decode_words(&mut words.into_iter(), 50_000).expect("decodes");
         assert_eq!(back, v);
         assert_eq!(back.stats().chunk_faults, v.stats().chunk_faults);
         assert_eq!(back.len(), v.len());
@@ -654,18 +568,46 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_wrong_element_geometry() {
-        let v: SparseVec<u64> = SparseVec::new(1000, 0, false);
+        let v: SparseVec<u64> = SparseVec::new(1000, 0);
         let mut words = Vec::new();
         v.encode_words(&mut words);
         assert!(
-            SparseVec::<u32>::decode_words(&mut words.into_iter()).is_none(),
+            SparseVec::<u32>::decode_words(&mut words.into_iter(), 1000).is_none(),
             "a u64 snapshot must not decode as u32"
         );
     }
 
+    /// The header's length must match the caller's, and the retired
+    /// dense layout's mode word (1) decodes to the same state as 0.
+    #[test]
+    fn snapshot_checks_length_and_mode_word() {
+        let mut v: SparseVec<u64> = SparseVec::new(1000, 0);
+        v.store(3, 9);
+        let mut words = Vec::new();
+        v.encode_words(&mut words);
+        assert_eq!(words[3], 0, "the mode word is always written as 0");
+        let decode = |w: &[u64], len| SparseVec::<u64>::decode_words(&mut w.iter().copied(), len);
+        assert!(decode(&words, 999).is_none(), "length mismatch");
+        let mut dense = words.clone();
+        dense[3] = 1;
+        assert_eq!(decode(&dense, 1000).expect("dense payload decodes"), v);
+        dense[3] = 2;
+        assert!(decode(&dense, 1000).is_none(), "unknown mode word");
+        // A run length that would overflow the index is rejected, not
+        // wrapped.
+        let mut huge_run = words.clone();
+        huge_run[11] = u64::MAX; // the second run, starting past index 0
+        assert!(decode(&huge_run, 1000).is_none());
+        // A length whose chunk table leaves the u32 slot space is
+        // refused before anything is allocated.
+        let len = (u32::MAX as usize + 1) * SparseVec::<u64>::chunk_elems();
+        let header = [len as u64, 512, 0, 0, 0, 0];
+        assert!(decode(&header, len).is_none());
+    }
+
     #[test]
     fn snapshot_is_compressed_relative_to_dense() {
-        let mut v: SparseVec<u64> = SparseVec::new(1 << 20, 0, false);
+        let mut v: SparseVec<u64> = SparseVec::new(1 << 20, 0);
         v.store(0, 1); // one chunk materialized, mostly zero
         let mut words = Vec::new();
         v.encode_words(&mut words);

@@ -13,9 +13,7 @@
 //! [`SparseVec`] chunks (see [`crate::sparse`]): a map over a 64 GiB
 //! simulated memory commits host RAM only for the frames that ever
 //! carry traps, and chunks that never did share one canonical zero
-//! chunk. The dense mode (`sparse = false`, the `TW_SPARSE=0` kill
-//! switch) pre-materializes every chunk through the same code path, so
-//! the two modes are bit-identical by construction.
+//! chunk.
 
 use crate::addr::PhysAddr;
 use crate::sparse::{SparseStats, SparseStorage, SparseVec};
@@ -69,8 +67,8 @@ pub struct TrapStorage {
 /// Equality is over trap *state* (geometry and armed granules), not
 /// the lifetime set/clear event counters — two maps that arrived at
 /// the same state along different paths compare equal. The bitmap
-/// comparison is logical, so a sparse map equals a dense map holding
-/// the same traps.
+/// comparison is logical, so a chunk that was written and cleared
+/// again equals one that was never touched.
 impl PartialEq for TrapMap {
     fn eq(&self, other: &Self) -> bool {
         self.granule == other.granule
@@ -94,17 +92,6 @@ impl TrapMap {
         Self::with_storage(mem_bytes, granule, TrapStorage::default())
     }
 
-    /// Like [`TrapMap::new`] with an explicit backing mode: `sparse`
-    /// demand-allocates chunks, `!sparse` pre-materializes everything
-    /// (dense, the `TW_SPARSE=0` behaviour).
-    ///
-    /// # Panics
-    ///
-    /// Same geometry requirements as [`TrapMap::new`].
-    pub fn with_mode(mem_bytes: u64, granule: u64, sparse: bool) -> Self {
-        Self::with_storage_mode(mem_bytes, granule, sparse, TrapStorage::default())
-    }
-
     /// Like [`TrapMap::new`], but reuses the heap buffers of `storage`
     /// (from [`TrapMap::into_storage`]) instead of allocating fresh
     /// ones. The resulting map is all-clear regardless of what the
@@ -114,22 +101,6 @@ impl TrapMap {
     ///
     /// Same geometry requirements as [`TrapMap::new`].
     pub fn with_storage(mem_bytes: u64, granule: u64, storage: TrapStorage) -> Self {
-        Self::with_storage_mode(mem_bytes, granule, true, storage)
-    }
-
-    /// [`TrapMap::with_storage`] with an explicit backing mode — the
-    /// constructor the machine layer uses to honour its sparse-memory
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Same geometry requirements as [`TrapMap::new`].
-    pub fn with_storage_mode(
-        mem_bytes: u64,
-        granule: u64,
-        sparse: bool,
-        storage: TrapStorage,
-    ) -> Self {
         assert!(
             granule.is_power_of_two(),
             "trap granule must be a power of two"
@@ -139,19 +110,27 @@ impl TrapMap {
             "memory size must be a whole number of granules"
         );
         let granules = mem_bytes / granule;
-        let words = granules.div_ceil(64) as usize;
-        let frames = mem_bytes.div_ceil(Self::FRAME_BYTES) as usize;
+        let (words, frames) = Self::backing_lens(mem_bytes, granule);
         let TrapStorage { bits, frame_counts } = storage;
         TrapMap {
-            bits: SparseVec::with_storage(words, 0, !sparse, bits),
+            bits: SparseVec::with_storage(words, 0, bits),
             granule,
             shift: granule.trailing_zeros(),
             granules,
             count: 0,
-            frame_counts: SparseVec::with_storage(frames, 0, !sparse, frame_counts),
+            frame_counts: SparseVec::with_storage(frames, 0, frame_counts),
             set_events: 0,
             clear_events: 0,
         }
+    }
+
+    /// Lengths of the bitmap (in `u64` words) and of the per-frame
+    /// counts for a geometry.
+    fn backing_lens(mem_bytes: u64, granule: u64) -> (usize, usize) {
+        (
+            (mem_bytes / granule).div_ceil(64) as usize,
+            mem_bytes.div_ceil(Self::FRAME_BYTES) as usize,
+        )
     }
 
     /// Tears the map down to its reusable heap buffers for
@@ -178,24 +157,11 @@ impl TrapMap {
         self.count
     }
 
-    /// `true` when the map demand-allocates its backing (the default);
-    /// `false` in dense `TW_SPARSE=0` mode.
-    pub fn is_sparse(&self) -> bool {
-        !self.bits.is_eager()
-    }
-
     /// Aggregated allocation counters of the bitmap and the per-frame
     /// counts — the source of the `sparse_chunks_allocated` /
     /// `zero_chunks_deduped` / `chunk_faults` observability counters.
     pub fn sparse_stats(&self) -> SparseStats {
         self.bits.stats().merge(self.frame_counts.stats())
-    }
-
-    /// Re-canonicalizes backing chunks whose content has returned to
-    /// all-clear (the cold-chunk compaction tier). Returns the number
-    /// of chunks reclaimed; no-op in dense mode.
-    pub fn compact(&mut self) -> u64 {
-        self.bits.compact() + self.frame_counts.compact()
     }
 
     /// Serializes the map's full state — geometry, event counters,
@@ -215,8 +181,10 @@ impl TrapMap {
     }
 
     /// Rebuilds a map from [`TrapMap::snapshot_words`] output. Returns
-    /// `None` on truncated input, inconsistent geometry, or a bitmap
-    /// whose population count disagrees with the stored trap count.
+    /// `None` on truncated input, inconsistent geometry (including
+    /// backing lengths that disagree with it, checked before anything
+    /// is allocated), or a bitmap whose population count disagrees with
+    /// the stored trap count.
     pub fn restore_words<I: Iterator<Item = u64>>(words: &mut I) -> Option<Self> {
         let granule = words.next()?;
         let mem_bytes = words.next()?;
@@ -226,14 +194,10 @@ impl TrapMap {
         if granule == 0 || !granule.is_power_of_two() || mem_bytes % granule != 0 {
             return None;
         }
-        let bits: SparseVec<u64> = SparseVec::decode_words(words)?;
-        let frame_counts: SparseVec<u32> = SparseVec::decode_words(words)?;
+        let (word_len, frame_len) = Self::backing_lens(mem_bytes, granule);
+        let bits: SparseVec<u64> = SparseVec::decode_words(words, word_len)?;
+        let frame_counts: SparseVec<u32> = SparseVec::decode_words(words, frame_len)?;
         let granules = mem_bytes / granule;
-        if bits.len() != granules.div_ceil(64) as usize
-            || frame_counts.len() != mem_bytes.div_ceil(Self::FRAME_BYTES) as usize
-        {
-            return None;
-        }
         let map = TrapMap {
             bits,
             granule,
@@ -681,9 +645,8 @@ impl TrapMap {
         })
     }
 
-    /// Clears every trap. In sparse mode this also drops every
-    /// materialized chunk back to the shared canonical chunk; in dense
-    /// mode the backing stays committed, as dense storage would.
+    /// Clears every trap, dropping every materialized chunk back to the
+    /// shared canonical chunk.
     pub fn clear_all(&mut self) {
         self.clear_events += self.count;
         self.bits.reset();
@@ -1113,11 +1076,81 @@ mod tests {
         }
     }
 
-    /// Property: sparse and dense maps driven through an identical
-    /// random op sequence stay bit-identical in every observable —
-    /// state equality, counts, events, frame counts, clean spans.
+    /// A plain `Vec<bool>` of granules: the independent reference the
+    /// random-op property below drives beside a real map.
+    struct PlainTrapModel {
+        granule: u64,
+        trapped: Vec<bool>,
+        set_events: u64,
+        clear_events: u64,
+    }
+
+    impl PlainTrapModel {
+        fn new(mem_bytes: u64, granule: u64) -> Self {
+            PlainTrapModel {
+                granule,
+                trapped: vec![false; (mem_bytes / granule) as usize],
+                set_events: 0,
+                clear_events: 0,
+            }
+        }
+
+        /// Granules overlapping `[pa, pa + size)`, clipped to the map.
+        fn range(&self, pa: u64, size: u64) -> std::ops::Range<usize> {
+            if size == 0 {
+                return 0..0;
+            }
+            let n = self.trapped.len();
+            let first = (pa / self.granule) as usize;
+            let last = ((pa + size - 1) / self.granule) as usize;
+            first.min(n)..(last + 1).min(n)
+        }
+
+        fn apply(&mut self, r: std::ops::Range<usize>, set: bool) {
+            for g in r {
+                if self.trapped[g] != set {
+                    self.trapped[g] = set;
+                    if set {
+                        self.set_events += 1;
+                    } else {
+                        self.clear_events += 1;
+                    }
+                }
+            }
+        }
+
+        fn count(&self) -> u64 {
+            self.trapped.iter().filter(|&&t| t).count() as u64
+        }
+
+        fn clean_span(&self, pa: u64, max_bytes: u64) -> u64 {
+            for g in self.range(pa, max_bytes) {
+                if self.trapped[g] {
+                    return (g as u64 * self.granule).saturating_sub(pa).min(max_bytes);
+                }
+            }
+            max_bytes
+        }
+
+        fn frame_trapped(&self, pa: u64) -> u32 {
+            let frame = pa / TrapMap::FRAME_BYTES;
+            (0..self.trapped.len())
+                .filter(|&g| {
+                    let lo = g as u64 * self.granule;
+                    let hi = lo + self.granule - 1;
+                    self.trapped[g]
+                        && lo / TrapMap::FRAME_BYTES <= frame
+                        && frame <= hi / TrapMap::FRAME_BYTES
+                })
+                .count() as u32
+        }
+    }
+
+    /// Property: a map driven through a random op sequence stays
+    /// identical to a plain `Vec<bool>` model in every observable —
+    /// trapped granules, counts, events, frame counts, clean spans.
     #[test]
-    fn sparse_and_dense_maps_are_bit_identical() {
+    fn trap_map_matches_a_plain_vec_model() {
         let mut s = 0x0123_4567_89ab_cdefu64;
         let mut next = move || {
             s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -1128,35 +1161,39 @@ mod tests {
         };
         let mem_bytes = 48 * 4096u64;
         for &granule in &[16u64, 4096] {
-            let mut sparse = TrapMap::with_mode(mem_bytes, granule, true);
-            let mut dense = TrapMap::with_mode(mem_bytes, granule, false);
-            assert!(sparse.is_sparse());
-            assert!(!dense.is_sparse());
+            let mut map = TrapMap::new(mem_bytes, granule);
+            let mut model = PlainTrapModel::new(mem_bytes, granule);
             for _ in 0..300 {
                 let pa = PhysAddr::new(next() % mem_bytes);
                 let size = next() % 20_000;
                 match next() % 4 {
                     0..=1 => {
-                        sparse.set_range(pa, size);
-                        dense.set_range(pa, size);
+                        map.set_range(pa, size);
+                        model.apply(model.range(pa.raw(), size), true);
                     }
                     2 => {
-                        sparse.clear_range(pa, size);
-                        dense.clear_range(pa, size);
+                        map.clear_range(pa, size);
+                        model.apply(model.range(pa.raw(), size), false);
                     }
                     _ => {
-                        sparse.clear_all();
-                        dense.clear_all();
+                        map.clear_all();
+                        model.apply(0..model.trapped.len(), false);
                     }
                 }
-                assert_eq!(sparse, dense);
-                assert_eq!(sparse.count(), dense.count());
-                assert_eq!(sparse.set_events(), dense.set_events());
-                assert_eq!(sparse.clear_events(), dense.clear_events());
+                let armed: Vec<u64> = (0..model.trapped.len() as u64)
+                    .filter(|&g| model.trapped[g as usize])
+                    .collect();
+                assert_eq!(map.iter_trapped().collect::<Vec<_>>(), armed);
+                assert_eq!(map.count(), model.count());
+                assert_eq!(map.set_events(), model.set_events);
+                assert_eq!(map.clear_events(), model.clear_events);
                 let probe = PhysAddr::new(next() % mem_bytes);
                 let max = next() % (2 * mem_bytes);
-                assert_eq!(sparse.clean_span(probe, max), dense.clean_span(probe, max));
-                assert_eq!(sparse.frame_trapped(probe), dense.frame_trapped(probe));
+                assert_eq!(
+                    map.clean_span(probe, max),
+                    model.clean_span(probe.raw(), max)
+                );
+                assert_eq!(map.frame_trapped(probe), model.frame_trapped(probe.raw()));
             }
         }
     }
@@ -1182,11 +1219,11 @@ mod tests {
             "one trap must not commit more than a few chunks, got {stats:?}"
         );
         assert!(stats.chunk_faults >= 1);
-        // Clearing and compacting returns the backing to fully shared.
+        // Clearing every trap returns the backing to fully shared.
         t.clear_range(far, 4096);
-        assert!(t.compact() >= 1);
-        assert_eq!(t.sparse_stats().chunks_allocated, 0);
         assert_eq!(t.recount(), 0);
+        t.clear_all();
+        assert_eq!(t.sparse_stats().chunks_allocated, 0);
     }
 
     /// Bulk clears over untouched memory must not materialize chunks:
@@ -1201,14 +1238,13 @@ mod tests {
     }
 
     #[test]
-    fn storage_reuse_across_modes_stays_pristine() {
-        let mut dense = TrapMap::with_mode(8 * 4096, 16, false);
-        dense.set_range(PhysAddr::new(0), 8 * 4096);
-        let sparse = TrapMap::with_storage_mode(8 * 4096, 16, true, dense.into_storage());
-        assert!(sparse.is_sparse());
-        assert_eq!(sparse.count(), 0);
-        assert_eq!(sparse.sparse_stats().chunks_allocated, 0);
-        assert_eq!(sparse, TrapMap::new(8 * 4096, 16));
+    fn storage_reuse_from_a_fully_trapped_map_stays_pristine() {
+        let mut full = TrapMap::new(8 * 4096, 16);
+        full.set_range(PhysAddr::new(0), 8 * 4096);
+        let reused = TrapMap::with_storage(8 * 4096, 16, full.into_storage());
+        assert_eq!(reused.count(), 0);
+        assert_eq!(reused.sparse_stats().chunks_allocated, 0);
+        assert_eq!(reused, TrapMap::new(8 * 4096, 16));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub enum CounterId {
     /// the zero-page dedup the sparse backing exists for.
     ZeroChunksDeduped,
     /// Demand-materialization events over the trial's lifetime (first
-    /// write into a canonical chunk). Always 0 in dense mode.
+    /// write into a canonical chunk).
     ChunkFaults,
     /// Sweep cells the planner ran through the trap-driven simulator
     /// (ground truth). Sweep-level: reported by the planner registry,

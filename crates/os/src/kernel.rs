@@ -15,10 +15,6 @@ pub struct OsConfig {
     pub page_size: PageSize,
     /// Physical frames handed to the allocator.
     pub frames: usize,
-    /// Back the VM's frame refcount vector with demand-allocated
-    /// chunks instead of eagerly materialized storage. Behaviour is
-    /// bit-identical either way; only the host footprint differs.
-    pub sparse_mem: bool,
 }
 
 impl Default for OsConfig {
@@ -27,7 +23,6 @@ impl Default for OsConfig {
             page_size: PageSize::DEFAULT,
             // 64 MiB of 4 KiB frames.
             frames: 16 * 1024,
-            sparse_mem: true,
         }
     }
 }
@@ -106,7 +101,7 @@ impl Os {
             .expect("fresh table has room for the X server");
         Os {
             tasks,
-            vm: Vm::new_reusing_mode(config.page_size, allocator, config.sparse_mem, scratch),
+            vm: Vm::new_reusing(config.page_size, allocator, scratch),
             sched: WrrScheduler::new(),
             bsd,
             x,
@@ -290,7 +285,6 @@ mod tests {
             OsConfig {
                 page_size: PageSize::DEFAULT,
                 frames: 64,
-                sparse_mem: true,
             },
             Box::new(SequentialAllocator::new(64)),
         )

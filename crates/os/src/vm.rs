@@ -324,22 +324,9 @@ pub struct Vm {
 
 impl Vm {
     /// Creates a VM with the given page size and frame allocator. The
-    /// frame refcount vector uses sparse (demand-allocated) backing;
-    /// use [`Vm::with_mode`] to force dense.
+    /// frame refcount vector commits chunks only as frames are mapped.
     pub fn new(page_size: PageSize, allocator: Box<dyn FrameAllocator>) -> Self {
         Self::new_reusing(page_size, allocator, VmScratch::default())
-    }
-
-    /// Like [`Vm::new`] with an explicit backing mode for the frame
-    /// refcount vector: `sparse == false` eagerly materializes one
-    /// counter per frame, `true` commits chunks only as frames are
-    /// mapped. Behaviour is identical either way.
-    pub fn with_mode(
-        page_size: PageSize,
-        allocator: Box<dyn FrameAllocator>,
-        sparse: bool,
-    ) -> Self {
-        Self::new_reusing_mode(page_size, allocator, sparse, VmScratch::default())
     }
 
     /// Like [`Vm::new`], but reuses the buffers of `scratch` (from a
@@ -351,16 +338,6 @@ impl Vm {
         allocator: Box<dyn FrameAllocator>,
         scratch: VmScratch,
     ) -> Self {
-        Self::new_reusing_mode(page_size, allocator, true, scratch)
-    }
-
-    /// [`Vm::with_mode`] with scratch reuse ([`Vm::new_reusing`]).
-    pub fn new_reusing_mode(
-        page_size: PageSize,
-        allocator: Box<dyn FrameAllocator>,
-        sparse: bool,
-        scratch: VmScratch,
-    ) -> Self {
         let VmScratch {
             mut tables,
             frame_refs,
@@ -369,7 +346,7 @@ impl Vm {
         for table in &mut tables {
             table.reset();
         }
-        let frame_refs = SparseVec::with_storage(allocator.capacity(), 0, !sparse, frame_refs);
+        let frame_refs = SparseVec::with_storage(allocator.capacity(), 0, frame_refs);
         tcache.clear();
         tcache.resize(TCACHE_SLOTS, TcEntry::EMPTY);
         Vm {
@@ -927,42 +904,42 @@ mod tests {
         assert!(stats.zero_chunks_deduped > 10_000);
         vm.unmap_all(T1);
         assert_eq!(vm.free_frames(), frames as usize);
-
-        // Dense mode pre-materializes everything and faults never.
-        let dense = Vm::with_mode(
-            PageSize::DEFAULT,
-            Box::new(SequentialAllocator::new(64)),
-            false,
-        );
-        let dstats = dense.sparse_stats();
-        assert_eq!(dstats.chunk_faults, 0);
-        assert_eq!(dstats.zero_chunks_deduped, 0);
     }
 
+    /// Map, share and unmap against a plain model: an array of frame
+    /// refcounts and a `Vec` of `(task, vpn, frame)` mappings.
     #[test]
-    fn sparse_and_dense_vms_behave_identically() {
-        let mut sparse = Vm::with_mode(
-            PageSize::DEFAULT,
-            Box::new(SequentialAllocator::new(32)),
-            true,
-        );
-        let mut dense = Vm::with_mode(
-            PageSize::DEFAULT,
-            Box::new(SequentialAllocator::new(32)),
-            false,
-        );
-        for vm in [&mut sparse, &mut dense] {
-            let (pfn, _) = vm.map_new(T1, 3).unwrap();
-            vm.map_shared(T2, 9, pfn);
-            vm.map_new(T1, 100).unwrap();
-            vm.unmap(T1, 3);
+    fn vm_matches_a_plain_vec_model() {
+        let mut vm = Vm::new(PageSize::DEFAULT, Box::new(SequentialAllocator::new(32)));
+        let mut refs = [0u32; 32];
+        let mut maps: Vec<(Tid, u64, u64)> = Vec::new();
+        let (pfn, _) = vm.map_new(T1, 3).unwrap();
+        refs[pfn.raw() as usize] += 1;
+        maps.push((T1, 3, pfn.raw()));
+        vm.map_shared(T2, 9, pfn);
+        refs[pfn.raw() as usize] += 1;
+        maps.push((T2, 9, pfn.raw()));
+        let (other, _) = vm.map_new(T1, 100).unwrap();
+        refs[other.raw() as usize] += 1;
+        maps.push((T1, 100, other.raw()));
+        vm.unmap(T1, 3);
+        refs[pfn.raw() as usize] -= 1;
+        maps.retain(|&(tid, vpn, _)| (tid, vpn) != (T1, 3));
+
+        assert_eq!(vm.free_frames(), refs.iter().filter(|&&r| r == 0).count());
+        for &(tid, vpn, frame) in &maps {
+            assert_eq!(
+                vm.translate(tid, VirtAddr::new(vpn * 4096)),
+                Translation::Mapped(PhysAddr::new(frame * 4096))
+            );
         }
-        assert_eq!(sparse.free_frames(), dense.free_frames());
         assert_eq!(
-            sparse.translate(T2, VirtAddr::new(9 * 4096)),
-            dense.translate(T2, VirtAddr::new(9 * 4096))
+            vm.translate(T1, VirtAddr::new(3 * 4096)),
+            Translation::NotMapped
         );
-        assert_eq!(sparse.resident_pages(T1), dense.resident_pages(T1));
+        let resident = |t: Tid| maps.iter().filter(|&&(tid, _, _)| tid == t).count();
+        assert_eq!(vm.resident_pages(T1), resident(T1));
+        assert_eq!(vm.resident_pages(T2), resident(T2));
     }
 
     #[test]

@@ -76,7 +76,7 @@ proptest! {
         other_vpns in proptest::collection::vec(1u64..40, 0..20),
     ) {
         let mut os = Os::boot(
-            OsConfig { page_size: PageSize::DEFAULT, frames: 128, sparse_mem: true },
+            OsConfig { page_size: PageSize::DEFAULT, frames: 128 },
             Box::new(SequentialAllocator::new(128)),
         );
         let a = os.spawn_user().unwrap();

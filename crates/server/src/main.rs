@@ -14,12 +14,17 @@
 //! `once` is submit + run for a single spec — the ci.sh smoke path.
 //! `status` lists jobs and states. `worker` is the subprocess-backend
 //! worker loop (spawned by the service; speaks the stdio wire
-//! protocol). `TW_THREADS` sets the default thread count.
+//! protocol). `TW_THREADS` sets the default thread count. `TW_PLAN` is
+//! the planner kill switch: `0`/`full` runs every job on the full
+//! engine, `1`/`pruned` runs every job through the planner, whatever
+//! its spec's `plan` says; unset or any other value leaves the spec in
+//! charge.
 
 use std::process::ExitCode;
 
 use tapeworm_server::{
-    serve_worker, InProcessBackend, ServiceOptions, SubprocessBackend, SweepService, WorkerBackend,
+    serve_worker, InProcessBackend, PlanMode, ServiceOptions, SubprocessBackend, SweepService,
+    WorkerBackend,
 };
 
 fn usage() -> ExitCode {
@@ -35,8 +40,18 @@ struct Cli {
     backend: String,
     threads: usize,
     cache: bool,
+    plan_override: Option<PlanMode>,
     worker_cmd: Option<String>,
     spec_file: Option<String>,
+}
+
+/// Maps a `TW_PLAN` value to the mode it forces, if any.
+fn plan_override(value: Option<&str>) -> Option<PlanMode> {
+    match value? {
+        "0" | "full" => Some(PlanMode::Full),
+        "1" | "pruned" => Some(PlanMode::Pruned),
+        _ => None,
+    }
 }
 
 fn parse_cli(args: &[String]) -> Option<Cli> {
@@ -48,6 +63,7 @@ fn parse_cli(args: &[String]) -> Option<Cli> {
             .and_then(|s| s.parse().ok())
             .unwrap_or(0),
         cache: true,
+        plan_override: plan_override(std::env::var("TW_PLAN").ok().as_deref()),
         worker_cmd: None,
         spec_file: None,
     };
@@ -77,6 +93,7 @@ fn open_service(cli: &Cli) -> Result<SweepService, String> {
         ServiceOptions {
             threads: cli.threads,
             cache: cli.cache,
+            plan_override: cli.plan_override,
             ..ServiceOptions::default()
         },
     )
@@ -191,6 +208,22 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("tapeworm-server: {e}");
             ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tw_plan_values_map_to_the_forced_mode() {
+        assert_eq!(plan_override(Some("0")), Some(PlanMode::Full));
+        assert_eq!(plan_override(Some("full")), Some(PlanMode::Full));
+        assert_eq!(plan_override(Some("1")), Some(PlanMode::Pruned));
+        assert_eq!(plan_override(Some("pruned")), Some(PlanMode::Pruned));
+        for ignored in [None, Some(""), Some("2"), Some("FULL"), Some("off")] {
+            assert_eq!(plan_override(ignored), None, "{ignored:?}");
         }
     }
 }

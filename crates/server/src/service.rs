@@ -42,6 +42,9 @@ pub struct ServiceOptions {
     pub cache: bool,
     /// Commits between checkpoint rewrites while a job runs.
     pub checkpoint_interval: usize,
+    /// Forces every job's execution mode over its spec's `plan` (the
+    /// CLI's `TW_PLAN` kill switch); `None` runs what the spec asks.
+    pub plan_override: Option<PlanMode>,
 }
 
 impl Default for ServiceOptions {
@@ -52,6 +55,7 @@ impl Default for ServiceOptions {
             obs: ObsConfig::default(),
             cache: true,
             checkpoint_interval: 16,
+            plan_override: None,
         }
     }
 }
@@ -85,8 +89,8 @@ pub struct JobReport {
     pub cells: Vec<TrialSummary>,
     /// Where `result.jsonl` was written.
     pub sink_path: PathBuf,
-    /// Effective execution plan (`"full"` or `"pruned"`, after the
-    /// `TW_PLAN` override).
+    /// Effective execution plan (`"full"` or `"pruned"`, after
+    /// [`ServiceOptions::plan_override`]).
     pub plan: &'static str,
     /// Cells the planner ran through the simulator.
     pub cells_simulated: u64,
@@ -219,11 +223,14 @@ impl SweepService {
         let plan = SweepPlan::resolve(&spec_text).map_err(ServiceError::Spec)?;
         self.queue.set_state(id, JobState::Running)?;
 
-        // The effective mode (spec `plan` after the `TW_PLAN` override)
-        // decides both the execution path and the cache key, so a
-        // pruned result can never be served for a full request or vice
-        // versa — and pruned runs skip the fingerprint cache entirely.
-        let planner = plan.planner_config().resolve_env();
+        // The effective mode (spec `plan` after `plan_override`) decides
+        // both the execution path and the cache key, so a pruned result
+        // can never be served for a full request or vice versa — and
+        // pruned runs skip the fingerprint cache entirely.
+        let mut planner = plan.planner_config();
+        if let Some(mode) = self.options.plan_override {
+            planner.mode = mode;
+        }
         if planner.mode == PlanMode::Pruned {
             return self.run_job_pruned(id, &plan, &planner);
         }

@@ -50,8 +50,8 @@ pub struct SinkHeader<'a> {
     pub configs: usize,
     /// Trials per configuration.
     pub trials: usize,
-    /// Effective execution plan (`"full"` or `"pruned"`, after the
-    /// `TW_PLAN` override).
+    /// Effective execution plan (`"full"` or `"pruned"`, after
+    /// [`ServiceOptions::plan_override`](crate::ServiceOptions::plan_override)).
     pub plan: &'a str,
 }
 

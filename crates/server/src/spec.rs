@@ -114,8 +114,9 @@ pub struct SweepSpec {
     /// Whether the resident-run fast path is enabled.
     pub fast_path: bool,
     /// Sweep execution plan: `full` (ground truth everywhere, the
-    /// default) or `pruned` (model-guided planner). The `TW_PLAN`
-    /// environment knob overrides this at run time.
+    /// default) or `pruned` (model-guided planner). The service's
+    /// `plan_override` option (the CLI's `TW_PLAN`) overrides this at
+    /// run time.
     pub plan: PlanMode,
     /// Relative CI half-width bound for the planner's early stop
     /// (`pruned` only; `0.0` disables early stopping).
@@ -595,7 +596,7 @@ impl SweepPlan {
     }
 
     /// The planner configuration the spec asks for (before the
-    /// `TW_PLAN` environment override).
+    /// service's `plan_override`).
     pub fn planner_config(&self) -> PlannerConfig {
         PlannerConfig {
             mode: self.spec.plan,
@@ -615,9 +616,8 @@ impl SweepPlan {
     }
 
     /// [`Self::fingerprint`] with the plan mode forced — the key the
-    /// service uses after resolving the `TW_PLAN` override, so the
-    /// cache is keyed on what actually ran, not what the spec asked
-    /// for.
+    /// service uses after applying its `plan_override`, so the cache is
+    /// keyed on what actually ran, not what the spec asked for.
     pub fn fingerprint_as(&self, mode: PlanMode) -> u64 {
         let planner = PlannerConfig {
             mode,

@@ -4,15 +4,11 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use tapeworm_server::{
     InProcessBackend, PlanMode, RetryPolicy, ServiceOptions, SubprocessBackend, SweepPlan,
     SweepService, ENV_FAIL_INDEX,
 };
-
-/// Serializes tests that touch the `TW_PLAN` process environment.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const BASE_SPEC: &str = "name = \"cache-probe\"\ntrials = 2\nseed = 1994\nscale = 20000\n\
                          sampling = 1\ncomponents = \"user\"\nworkloads = [\"espresso\"]\n\
@@ -150,8 +146,6 @@ fn any_single_field_perturbation_misses_the_cache() {
 /// ground truth).
 #[test]
 fn pruned_and_full_never_share_cache_entries() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    std::env::remove_var("TW_PLAN");
     let pruned_spec = format!("{BASE_SPEC}plan = \"pruned\"\n");
     let full = SweepPlan::resolve(BASE_SPEC).unwrap();
     let pruned = SweepPlan::resolve(&pruned_spec).unwrap();
@@ -212,13 +206,12 @@ fn pruned_and_full_never_share_cache_entries() {
     fs::remove_dir_all(svc.queue().root()).unwrap();
 }
 
-/// `TW_PLAN` decides the *effective* mode, and the cache is keyed on
-/// what actually ran: a pruned spec forced to `full` by the kill
-/// switch hits the full spec's cache entry.
+/// `plan_override` (the CLI's `TW_PLAN`) decides the *effective*
+/// mode, and the cache is keyed on what actually ran: a pruned spec
+/// forced to `full` by the kill switch hits the full spec's cache
+/// entry.
 #[test]
 fn tw_plan_kill_switch_rekeys_the_cache_on_the_effective_mode() {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    std::env::remove_var("TW_PLAN");
     let pruned_spec = format!("{BASE_SPEC}plan = \"pruned\"\n");
     let full = SweepPlan::resolve(BASE_SPEC).unwrap();
     let pruned = SweepPlan::resolve(&pruned_spec).unwrap();
@@ -232,10 +225,17 @@ fn tw_plan_kill_switch_rekeys_the_cache_on_the_effective_mode() {
     svc.submit(BASE_SPEC).unwrap();
     let full_report = svc.run_pending(&InProcessBackend).unwrap().pop().unwrap();
 
-    std::env::set_var("TW_PLAN", "0");
-    svc.submit(&pruned_spec).unwrap();
-    let forced = svc.run_pending(&InProcessBackend).unwrap();
-    std::env::remove_var("TW_PLAN");
+    // The same queue, reopened with the kill switch thrown.
+    let forced_svc = SweepService::open(
+        svc.queue().root(),
+        ServiceOptions {
+            plan_override: Some(PlanMode::Full),
+            ..ServiceOptions::default()
+        },
+    )
+    .unwrap();
+    forced_svc.submit(&pruned_spec).unwrap();
+    let forced = forced_svc.run_pending(&InProcessBackend).unwrap();
     let forced = forced.last().unwrap();
     assert_eq!(forced.plan, "full", "TW_PLAN=0 must force the full path");
     assert!(

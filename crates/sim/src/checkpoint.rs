@@ -514,6 +514,60 @@ mod tests {
         assert!(decode_trap_state(&format!("{payload} 1")).is_none());
     }
 
+    /// Backing lengths in a payload that disagree with its geometry, or
+    /// a geometry too large to index, are rejected before anything is
+    /// allocated (a forged length must not size the chunk table).
+    #[test]
+    fn trap_state_with_forged_lengths_is_rejected_without_allocating() {
+        // 4 KiB at 16-byte granules: 4 bitmap words, 1 frame.
+        assert!(decode_trap_state("10 1000 0 0 0 4 200 0 0 0 0 1 400 0 0 0 0").is_some());
+        for forged in [
+            // Bitmap length u64::MAX.
+            "10 1000 0 0 0 ffffffffffffffff 200 0 0 0 0 1 400 0 0 0 0",
+            // Bitmap length off by one.
+            "10 1000 0 0 0 5 200 0 0 0 0 1 400 0 0 0 0",
+            // Frame-count length off by one.
+            "10 1000 0 0 0 4 200 0 0 0 0 2 400 0 0 0 0",
+            // mem_bytes = u64::MAX: not a whole number of 16-byte granules.
+            "10 ffffffffffffffff 0 0 0 4 200 0 0 0 0 1 400 0 0 0 0",
+            // mem_bytes = u64::MAX at 1-byte granules, with the lengths
+            // that geometry implies: its chunk table exceeds the u32
+            // slot space.
+            "1 ffffffffffffffff 0 0 0 400000000000000 200 0 0 0 0 10000000000000 400 0 0 0 0",
+        ] {
+            assert!(decode_trap_state(forged).is_none(), "{forged}");
+        }
+    }
+
+    /// A payload written by the retired dense layout (mode word 1, every
+    /// chunk listed, zero demand faults) still decodes, to the same map
+    /// the sparse layout produces.
+    #[test]
+    fn dense_layout_trap_state_still_decodes() {
+        use tapeworm_mem::{PhysAddr, TrapMap};
+        let dense = "10 2000 4 5 1 8 200 0 1 0 1 0 4 d0 1 0 6 8000000000000000 1 0 1f8 \
+                     2 400 0 1 0 1 0 3 3 1 1 1 0 3fe";
+        let mut map = TrapMap::new(8192, 16);
+        map.set_range(PhysAddr::new(0x40), 64);
+        map.set_range(PhysAddr::new(0x1ff0), 16);
+        map.clear_range(PhysAddr::new(0x50), 16);
+        let restored = decode_trap_state(dense).expect("dense payload decodes");
+        assert_eq!(restored, map);
+        assert_eq!(restored.set_events(), map.set_events());
+        assert_eq!(restored.clear_events(), map.clear_events());
+        assert_eq!(
+            restored.frame_trapped(PhysAddr::new(0x1000)),
+            map.frame_trapped(PhysAddr::new(0x1000))
+        );
+        // The sparse layout's encoding is unchanged: mode word 0 in
+        // both vectors, only materialized chunks listed.
+        assert_eq!(
+            encode_trap_state(&map),
+            "10 2000 4 5 1 8 200 0 0 1 1 0 4 d0 1 0 6 8000000000000000 1 0 1f8 \
+             2 400 0 0 1 1 0 3 3 1 1 1 0 3fe"
+        );
+    }
+
     fn sample_outcomes() -> Vec<StoredOutcome> {
         let result = TrialResult::new(
             [10.5, 0.25, -0.0, 3.0e-12],

@@ -158,8 +158,7 @@ pub struct SystemConfig {
     /// Whether the engine may retire trap-free instruction runs through
     /// the batched resident-run fast path. The fast path is
     /// bit-identical to stepwise execution (pinned by differential
-    /// tests); disabling it forces the per-chunk slow path, as does the
-    /// `TW_FAST=0` environment knob.
+    /// tests); disabling it forces the per-chunk slow path.
     pub fast_path: bool,
     /// Whether the engine may service a run of consecutive trapped
     /// chunks as one burst through `Tapeworm::service_burst` (one
@@ -167,15 +166,8 @@ pub struct SystemConfig {
     /// cache and the split I-side with any indexing, replacement,
     /// associativity or set sampling. Bit-identical to stepwise miss
     /// handling (pinned by differential tests); disabling it forces
-    /// per-miss accounting, as does the `TW_BATCH=0` environment knob.
+    /// per-miss accounting.
     pub miss_batch: bool,
-    /// Whether the machine's physical state (trap bitmap, per-frame
-    /// trap counts, VM frame refcounts) sits on demand-allocated
-    /// chunked backing with zero-chunk dedup. Bit-identical to the
-    /// eagerly materialized layout (pinned by differential tests) —
-    /// only the host footprint differs; disabling forces dense
-    /// backing, as does the `TW_SPARSE=0` environment knob.
-    pub sparse_mem: bool,
 }
 
 impl SystemConfig {
@@ -199,7 +191,6 @@ impl SystemConfig {
             write_policy: tapeworm_mem::WritePolicy::NoAllocateOnWrite,
             fast_path: true,
             miss_batch: true,
-            sparse_mem: true,
         }
     }
 
@@ -279,13 +270,6 @@ impl SystemConfig {
     /// still compile; [`SystemConfig::with_miss_batch`] is the one
     /// switch for burst service.
     pub fn with_miss_schedule(self, _enabled: bool) -> Self {
-        self
-    }
-
-    /// Enables or disables sparse (demand-allocated) physical-state
-    /// backing.
-    pub fn with_sparse_mem(mut self, enabled: bool) -> Self {
-        self.sparse_mem = enabled;
         self
     }
 

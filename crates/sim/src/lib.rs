@@ -31,7 +31,7 @@
 //!   cells where the model is uncertain, adaptive Student-t sampling
 //!   stops cells early once their miss-count CI closes, and the rest
 //!   are interpolated with a declared error bound and explicit
-//!   estimated provenance ([`PlannedCell`]). `TW_PLAN=0` kills it.
+//!   estimated provenance ([`PlannedCell`]).
 //!
 //! Determinism contract: workload reference streams derive from the
 //! experiment's *base* seed and are identical across trials; only the
@@ -64,7 +64,7 @@ pub use config::{AllocPolicy, ComponentSet, CostKind, SimModel, SystemConfig};
 pub use fault::FaultPlan;
 pub use planner::{
     planned_sweep_fingerprint, run_sweep_planned, EstimatedCell, PlanMode, PlannedCell,
-    PlannedOutcome, PlannerConfig, ENV_PLAN,
+    PlannedOutcome, PlannerConfig,
 };
 pub use quanta::schedule_helper_trials;
 pub use result::TrialResult;

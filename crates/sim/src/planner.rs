@@ -38,10 +38,9 @@
 //!   their trial-noise spread) that its true error must stay within.
 //! * Early-stopped cells report CIs that cover the full-trial mean.
 //!
-//! `TW_PLAN=0` (or `full`) is the kill switch: it forces
-//! [`PlanMode::Full`] no matter what the caller or spec asked for,
-//! restoring the exact pre-planner engine behavior. `TW_PLAN=pruned`
-//! forces pruning on.
+//! [`run_sweep_planned`] runs the mode it is given. The process-level
+//! kill switch (`TW_PLAN=0` on `tapeworm-server`) is resolved by the
+//! CLI into the service's options, never read here.
 //!
 //! Determinism: pruned planning is single-threaded by design — each
 //! cell's stopping decision folds over its own committed trial prefix,
@@ -63,10 +62,6 @@ use crate::sweep::{
     TrialSummary,
 };
 use crate::system::TrialScratch;
-
-/// Environment kill switch: `0`/`full` forces [`PlanMode::Full`],
-/// `1`/`pruned` forces [`PlanMode::Pruned`]; anything else is ignored.
-pub const ENV_PLAN: &str = "TW_PLAN";
 
 /// Simulated page size the conflict model scores against (the OS page).
 const PAGE_BYTES: u64 = 4096;
@@ -99,7 +94,7 @@ impl PlanMode {
 /// Everything that shapes the planner besides the grid itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
-    /// Execution mode (before the `TW_PLAN` override).
+    /// Execution mode.
     pub mode: PlanMode,
     /// Early-stop threshold on the relative CI half-width of a cell's
     /// miss count; `0.0` disables early stopping (every simulated cell
@@ -148,16 +143,6 @@ impl PlannerConfig {
     /// Sets the minimum trials before the first CI check.
     pub fn with_min_trials(mut self, min_trials: usize) -> Self {
         self.min_trials = min_trials.max(1);
-        self
-    }
-
-    /// Applies the `TW_PLAN` environment override (the kill switch).
-    pub fn resolve_env(mut self) -> Self {
-        match std::env::var(ENV_PLAN).as_deref() {
-            Ok("0") | Ok("full") => self.mode = PlanMode::Full,
-            Ok("1") | Ok("pruned") => self.mode = PlanMode::Pruned,
-            _ => {}
-        }
         self
     }
 }
@@ -234,7 +219,7 @@ pub struct PlannedOutcome {
 }
 
 impl PlannedOutcome {
-    /// The effective execution mode (after the `TW_PLAN` override).
+    /// The execution mode the sweep ran in.
     pub fn mode(&self) -> PlanMode {
         self.mode
     }
@@ -476,8 +461,7 @@ fn plan_group(configs: &[SystemConfig], lo: usize, hi: usize, decisions: &mut [D
     }
 }
 
-/// Runs a sweep under the planner. [`PlanMode::Full`] (or `TW_PLAN=0`)
-/// is exactly [`run_sweep_resilient_observed`] — bit-identical outcomes
+/// Runs a sweep under the planner. [`PlanMode::Full`] is exactly [`run_sweep_resilient_observed`] — bit-identical outcomes
 /// for every thread count. [`PlanMode::Pruned`] simulates the planned
 /// subset with adaptive trial sampling and interpolates the rest.
 ///
@@ -497,10 +481,9 @@ pub fn run_sweep_planned(
     planner: &PlannerConfig,
 ) -> PlannedOutcome {
     assert!(trials > 0, "a sweep needs at least one trial per config");
-    let planner = planner.clone().resolve_env();
     match planner.mode {
         PlanMode::Full => run_full(configs, trials, base, options),
-        PlanMode::Pruned => run_pruned(configs, trials, base, options, &planner),
+        PlanMode::Pruned => run_pruned(configs, trials, base, options, planner),
     }
 }
 

@@ -386,11 +386,9 @@ struct Engine<'c> {
     cpi_acc_milli: u64,
     in_interrupt: bool,
     chunk_bytes: u64,
-    /// Resident-run fast path enabled (`SystemConfig::fast_path` and
-    /// the `TW_FAST` env knob both allow it).
+    /// Resident-run fast path enabled (`SystemConfig::fast_path`).
     fast_enabled: bool,
-    /// Burst service enabled (`SystemConfig::miss_batch` and the
-    /// `TW_BATCH` env knob both allow it).
+    /// Burst service enabled (`SystemConfig::miss_batch`).
     batch_enabled: bool,
     /// Burst-service scratch: the last burst's victims.
     sched: MissSchedule,
@@ -438,13 +436,10 @@ impl<'c> Engine<'c> {
                 Box::new(ColoringAllocator::new(cfg.frames, colors, trial))
             }
         };
-        let sparse_enabled =
-            cfg.sparse_mem && std::env::var("TW_SPARSE").map_or(true, |v| v != "0");
         let mut os = Os::boot_reusing(
             OsConfig {
                 page_size: page,
                 frames: cfg.frames,
-                sparse_mem: sparse_enabled,
             },
             allocator,
             scratch.vm.take().unwrap_or_default(),
@@ -471,7 +466,6 @@ impl<'c> Engine<'c> {
                 clock_period: cfg.clock_period,
                 breakpoint_registers: 4,
                 write_policy: cfg.write_policy,
-                sparse_mem: sparse_enabled,
             },
             scratch.machine.take().unwrap_or_default(),
         );
@@ -574,8 +568,8 @@ impl<'c> Engine<'c> {
             cpi_acc_milli: 0,
             in_interrupt: false,
             chunk_bytes,
-            fast_enabled: cfg.fast_path && std::env::var("TW_FAST").map_or(true, |v| v != "0"),
-            batch_enabled: cfg.miss_batch && std::env::var("TW_BATCH").map_or(true, |v| v != "0"),
+            fast_enabled: cfg.fast_path,
+            batch_enabled: cfg.miss_batch,
             sched: std::mem::take(&mut scratch.sched).unwrap_or_default(),
             fast_runs: 0,
             fast_words: 0,

@@ -147,13 +147,15 @@ fn digest(result: &TrialResult, windows: &[WindowSample]) -> u64 {
 
 /// Golden equivalence matrix for the hot-path engine rewrite: every
 /// simulator mode (physical-indexed cache, sampled cache, TLB
-/// valid-bit, split I/D, two-level hierarchy, windowed monitoring) and
-/// the task-exit/pageout paths produce `TrialResult`s bit-identical to
-/// the pre-refactor nested-HashMap engine. The digests were generated
-/// by `crates/bench/src/bin/golden_digest.rs` running against the
-/// engine *before* the flat-page-table / translation-cache rewrite;
-/// re-run that binary to regenerate after a deliberate
-/// behaviour-changing commit.
+/// valid-bit, split I/D, two-level hierarchy, kernel trace buffer,
+/// windowed monitoring) and the task-exit/pageout paths produce
+/// `TrialResult`s bit-identical to the pre-refactor nested-HashMap
+/// engine. The digests were generated by
+/// `crates/bench/src/bin/golden_digest.rs` running against the engine
+/// *before* the flat-page-table / translation-cache rewrite; the
+/// `buffer` digest was recorded later, from the engine just before the
+/// dense physical-state layout was deleted. Re-run that binary to
+/// regenerate after a deliberate behaviour-changing commit.
 #[test]
 fn engine_matches_pre_refactor_golden_digests() {
     let dm = |kb: u64| CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry");
@@ -203,6 +205,11 @@ fn engine_matches_pre_refactor_golden_digests() {
             "tlb-exits",
             SystemConfig::tlb(Workload::Ousterhout, TlbSimConfig::r3000()).with_scale(SCALE),
             0x3fc3_0f9d_2956_02b9,
+        ),
+        (
+            "buffer",
+            SystemConfig::kernel_trace_buffer(Workload::MpegPlay, dm(4)).with_scale(SCALE),
+            0x19af_e37f_0b4b_67e1,
         ),
     ];
     for (label, cfg, expected) in &cases {

@@ -142,7 +142,6 @@ fn write_policy_gates_data_cache_simulability() {
             clock_period: 1000,
             breakpoint_registers: 0,
             write_policy: policy,
-            sparse_mem: true,
         });
         machine.traps_mut().set_range(PhysAddr::new(0x100), 16);
         let out = machine.access(

@@ -6,11 +6,8 @@
 //! same `TrialResult`, same interrupt delivery positions, same
 //! observability counters (minus the fast-path tallies themselves).
 //! This suite pins that equivalence for every simulator mode and for
-//! both serial and parallel sweeps, and exercises the two kill
-//! switches: `SystemConfig::with_fast_path(false)` and the `TW_FAST=0`
-//! environment knob.
-
-use std::sync::{Mutex, MutexGuard};
+//! both serial and parallel sweeps, and exercises the kill switch,
+//! `SystemConfig::with_fast_path(false)`.
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::CounterId;
@@ -21,18 +18,6 @@ use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
-
-/// Serializes every test that runs the engine: `TW_FAST` is
-/// process-global, so the engagement assertions would misfire if
-/// another test flipped it mid-run, and an equivalence test running
-/// beside `TW_FAST=0` would compare the slow path against itself.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
-/// (the guarded data is `()`, so a poisoned lock carries no bad state).
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn dm(kb: u64) -> CacheConfig {
     CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
@@ -82,7 +67,6 @@ fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
 /// fast-path tallies, which legitimately differ.)
 #[test]
 fn fast_path_is_bit_identical_to_slow_path() {
-    let _guard = env_lock();
     for (label, cfg) in modes() {
         let slow_cfgs = vec![cfg.clone().with_fast_path(false)];
         let fast_cfgs = vec![cfg];
@@ -131,8 +115,6 @@ fn fast_path_is_bit_identical_to_slow_path() {
 /// the excluded modes or when disabled.
 #[test]
 fn fast_path_engages_exactly_where_expected() {
-    let _guard = env_lock();
-    std::env::remove_var("TW_FAST");
     let base = SeedSeq::new(1994);
     let trial = base.derive("fast", 0).derive("trial", 0);
 
@@ -164,31 +146,4 @@ fn fast_path_engages_exactly_where_expected() {
         assert_eq!(m.counters.get(CounterId::FastRuns), 0, "{label}: disabled");
         assert_eq!(m.counters.get(CounterId::FastWords), 0, "{label}: disabled");
     }
-}
-
-/// `TW_FAST=0` is the no-recompile kill switch: it forces the slow path
-/// (observable in the counters) without perturbing any result.
-#[test]
-fn tw_fast_env_knob_forces_the_slow_path() {
-    let _guard = env_lock();
-    let base = SeedSeq::new(1994);
-    let trial = base.derive("fast", 0).derive("trial", 0);
-    let cfg = SystemConfig::cache(Workload::Espresso, dm(4)).with_scale(SCALE);
-
-    std::env::remove_var("TW_FAST");
-    let (on_result, on_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(on_metrics.counters.get(CounterId::FastRuns) > 0);
-
-    std::env::set_var("TW_FAST", "0");
-    let (off_result, off_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_FAST");
-
-    assert_eq!(off_metrics.counters.get(CounterId::FastRuns), 0);
-    assert_eq!(off_metrics.counters.get(CounterId::FastWords), 0);
-    assert_eq!(on_result, off_result, "TW_FAST=0 perturbed the result");
-    // Any value other than "0" leaves the fast path on.
-    std::env::set_var("TW_FAST", "1");
-    let (_, again) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_FAST");
-    assert!(again.counters.get(CounterId::FastRuns) > 0);
 }

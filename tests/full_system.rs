@@ -13,7 +13,6 @@ fn boot() -> (Os, Machine) {
         OsConfig {
             page_size: PageSize::DEFAULT,
             frames: 256,
-            sparse_mem: true,
         },
         Box::new(SequentialAllocator::new(256)),
     );
@@ -23,7 +22,6 @@ fn boot() -> (Os, Machine) {
         clock_period: 1_000_000,
         breakpoint_registers: 4,
         write_policy: tapeworm::mem::WritePolicy::NoAllocateOnWrite,
-        sparse_mem: true,
     });
     (os, machine)
 }

@@ -11,10 +11,7 @@
 //! ring-event timestamps, same counters (minus the batch bookkeeping
 //! itself). This suite pins that equivalence for every simulator mode
 //! and each kind of cache geometry, serial and parallel sweeps, and
-//! both kill switches: `SystemConfig::with_miss_batch(false)` and the
-//! `TW_BATCH=0` environment knob.
-
-use std::sync::{Mutex, MutexGuard};
+//! the kill switch, `SystemConfig::with_miss_batch(false)`.
 
 use tapeworm::core::{CacheConfig, Indexing, Replacement, TlbSimConfig};
 use tapeworm::obs::CounterId;
@@ -25,19 +22,6 @@ use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
-
-/// Serializes every test that runs the engine: `TW_BATCH` is
-/// process-global and is sampled at system construction, so the
-/// engagement assertions would misfire if another test flipped it
-/// mid-run, and an equivalence test running beside `TW_BATCH=0` would
-/// compare stepwise against stepwise.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
-/// (the guarded data is `()`, so a poisoned lock carries no bad state).
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn dm(kb: u64) -> CacheConfig {
     CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
@@ -159,7 +143,6 @@ fn batch_bookkeeping(id: CounterId) -> bool {
 /// modulo the batch bookkeeping, which legitimately differs.)
 #[test]
 fn miss_batch_is_bit_identical_to_stepwise() {
-    let _guard = env_lock();
     for (label, cfg) in modes() {
         let stepwise_cfgs = vec![cfg.clone().with_miss_batch(false)];
         let batched_cfgs = vec![cfg];
@@ -194,7 +177,6 @@ fn miss_batch_is_bit_identical_to_stepwise() {
 /// results.
 #[test]
 fn miss_batch_preserves_ring_event_timestamps() {
-    let _guard = env_lock();
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
     for (label, cfg) in modes() {
@@ -222,8 +204,6 @@ fn miss_batch_preserves_ring_event_timestamps() {
 /// read 0.
 #[test]
 fn miss_batch_engages_exactly_where_expected() {
-    let _guard = env_lock();
-    std::env::remove_var("TW_BATCH");
     let base = SeedSeq::new(1994);
     let trial = base.derive("batch", 0).derive("trial", 0);
 
@@ -260,33 +240,4 @@ fn miss_batch_engages_exactly_where_expected() {
         0,
         "disabled batch still flushed"
     );
-}
-
-/// `TW_BATCH=0` is the no-recompile kill switch: it forces stepwise
-/// servicing (observable in the counters) without perturbing any
-/// result, mirroring `TW_FAST=0` for the resident-run fast path.
-#[test]
-fn tw_batch_env_knob_forces_stepwise_servicing() {
-    let _guard = env_lock();
-    let base = SeedSeq::new(1994);
-    let trial = base.derive("batch", 0).derive("trial", 0);
-    let cfg = SystemConfig::cache(Workload::MpegPlay, dm(4))
-        .with_components(ComponentSet::user_only())
-        .with_scale(SCALE);
-
-    std::env::remove_var("TW_BATCH");
-    let (on_result, on_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(on_metrics.counters.get(CounterId::MissBatchFlushes) > 0);
-
-    std::env::set_var("TW_BATCH", "0");
-    let (off_result, off_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_BATCH");
-
-    assert_eq!(off_metrics.counters.get(CounterId::MissBatchFlushes), 0);
-    assert_eq!(on_result, off_result, "TW_BATCH=0 perturbed the result");
-    // Any value other than "0" leaves batching on.
-    std::env::set_var("TW_BATCH", "1");
-    let (_, again) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_BATCH");
-    assert!(again.counters.get(CounterId::MissBatchFlushes) > 0);
 }

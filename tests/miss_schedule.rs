@@ -153,7 +153,10 @@ fn miss_schedule_preserves_ring_event_timestamps() {
         );
         assert_eq!(bmx.events, smx.events, "{label}: ring events diverged");
         assert_eq!(nr, br, "{label}: no-op setter changed the result");
-        assert_eq!(nmx.events, bmx.events, "{label}: no-op setter moved ring events");
+        assert_eq!(
+            nmx.events, bmx.events,
+            "{label}: no-op setter moved ring events"
+        );
     }
 }
 
@@ -171,7 +174,10 @@ fn miss_schedule_engages_exactly_where_expected() {
         .with_scale(SCALE);
     let (_, m) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
     let served = m.counters.get(CounterId::SchedRecords);
-    assert!(served > 0, "miss-rich config never served a set-state burst");
+    assert!(
+        served > 0,
+        "miss-rich config never served a set-state burst"
+    );
     assert_eq!(
         served,
         m.counters.get(CounterId::MissBatchFlushes),

@@ -11,29 +11,22 @@
 //! (d) Every early-stopped cell's confidence interval covers the mean
 //!     the cell would have reported had all trials run.
 //!
-//! Plus the kill switch: `TW_PLAN=0` restores exact engine behavior no
-//! matter what the caller asked for.
+//! Plus the kill switch: the service's `plan_override` (the server
+//! CLI's `TW_PLAN=0`) restores exact engine behavior no matter what the
+//! spec asked for.
 
-use std::sync::{Mutex, MutexGuard};
+use std::fs;
 
 use tapeworm::core::{CacheConfig, Indexing};
+use tapeworm::server::{
+    digest_outcomes, InProcessBackend, JobReport, ServiceOptions, SweepPlan, SweepService,
+};
 use tapeworm::sim::{
     encode_outcome, fold_outcomes, run_sweep_planned, run_sweep_resilient_observed, ComponentSet,
     PlanMode, PlannedCell, PlannerConfig, SweepOptions, SystemConfig, TrialOutcome, TrialSummary,
 };
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
-
-/// Serializes every test that runs the planner: the kill-switch test
-/// sets `TW_PLAN` process-wide, and a planned sweep running beside it
-/// would read the forced mode instead of the one it asked for.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
-/// (the guarded data is `()`, so a poisoned lock carries no bad state).
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const BASE_SEED: u64 = 1994;
 
@@ -92,7 +85,6 @@ fn full_sweep(configs: &[SystemConfig], trials: usize) -> (Vec<TrialOutcome>, Ve
 /// summaries for TW_THREADS-equivalent worker counts 1, 4 and 8.
 #[test]
 fn full_mode_is_bit_identical_to_the_engine_for_all_thread_counts() {
-    let _guard = env_lock();
     let configs = tab9_grid();
     let trials = 4;
     let (engine, engine_cells) = full_sweep(&configs, trials);
@@ -139,7 +131,6 @@ fn full_mode_is_bit_identical_to_the_engine_for_all_thread_counts() {
 /// same encoding. CI bound 0 isolates pure pruning (no early stops).
 #[test]
 fn pruned_simulated_cells_are_bit_identical_to_the_full_sweep() {
-    let _guard = env_lock();
     let configs = tab9_grid();
     let trials = 4;
     let (engine, _) = full_sweep(&configs, trials);
@@ -181,7 +172,6 @@ fn pruned_simulated_cells_are_bit_identical_to_the_full_sweep() {
 /// bound of the full sweep's measured mean, on both table shapes.
 #[test]
 fn interpolated_cells_stay_within_their_declared_bound() {
-    let _guard = env_lock();
     for (label, configs, trials) in [
         ("tab9-physical", tab9_grid(), 4usize),
         ("tab8-virtual-sampled", tab8_grid(8), 4),
@@ -224,7 +214,6 @@ fn interpolated_cells_stay_within_their_declared_bound() {
 /// exercises real spread.
 #[test]
 fn early_stopped_cells_cover_the_full_trial_mean() {
-    let _guard = env_lock();
     let trials = 8;
     let mut early_stops_seen = 0;
     for (label, configs, bound, must_stop) in [
@@ -273,43 +262,55 @@ fn early_stopped_cells_cover_the_full_trial_mean() {
     assert!(early_stops_seen > 0);
 }
 
-/// The kill switch: `TW_PLAN=0` forces full-engine behavior over a
-/// pruned request, `TW_PLAN=pruned` forces the planner over a full
-/// request, and unset leaves the caller's choice alone.
+fn spec_file(name: &str) -> String {
+    fs::read_to_string(format!("{}/specs/{name}", env!("CARGO_MANIFEST_DIR")))
+        .unwrap_or_else(|e| panic!("specs/{name}: {e}"))
+}
+
+/// Runs one spec through a fresh in-process service.
+fn serve(tag: &str, spec: &str, plan_override: Option<PlanMode>) -> JobReport {
+    let root = std::env::temp_dir().join(format!("tapeworm-planner-kill-switch-{tag}"));
+    let _ = fs::remove_dir_all(&root);
+    let options = ServiceOptions {
+        cache: false,
+        plan_override,
+        ..ServiceOptions::default()
+    };
+    let svc = SweepService::open(&root, options).unwrap();
+    svc.submit(spec).unwrap();
+    let report = svc.run_pending(&InProcessBackend).unwrap().pop().unwrap();
+    fs::remove_dir_all(&root).unwrap();
+    report
+}
+
+/// The kill switch, carried by `ServiceOptions::plan_override` (what
+/// `TW_PLAN` resolves to in the server CLI): forcing `full` over a
+/// pruned spec restores exact engine behavior, forcing `pruned` over a
+/// full spec runs the planner, and no override leaves the spec's
+/// choice alone.
 #[test]
 fn tw_plan_kill_switch_overrides_the_requested_mode() {
-    let _guard = env_lock();
-    let configs = tab9_grid();
-    let trials = 3;
-    let (engine, _) = full_sweep(&configs, trials);
+    let pruned_spec = spec_file("ci_planner.toml");
+    let full_spec = spec_file("ci_planner_full.toml");
+    let plan = SweepPlan::resolve(&pruned_spec).unwrap();
+    let (engine, engine_cells) = full_sweep(plan.configs(), plan.trials());
 
-    std::env::set_var("TW_PLAN", "0");
-    let forced_full = run_sweep_planned(
-        &configs,
-        trials,
-        SeedSeq::new(BASE_SEED),
-        &SweepOptions::default(),
-        &PlannerConfig::pruned(),
-    );
-    std::env::set_var("TW_PLAN", "pruned");
-    let forced_pruned = run_sweep_planned(
-        &configs,
-        trials,
-        SeedSeq::new(BASE_SEED),
-        &SweepOptions::default(),
-        &PlannerConfig::full(),
-    );
-    std::env::remove_var("TW_PLAN");
+    let forced_full = serve("full", &pruned_spec, Some(PlanMode::Full));
+    let forced_pruned = serve("pruned", &full_spec, Some(PlanMode::Pruned));
+    let unforced = serve("none", &pruned_spec, None);
 
-    assert_eq!(forced_full.mode(), PlanMode::Full);
-    assert_eq!(forced_full.simulated_outcomes().len(), engine.len());
-    for (index, outcome) in forced_full.simulated_outcomes() {
-        assert_eq!(
-            encode_outcome(*index, outcome),
-            encode_outcome(*index, &engine[*index]),
-            "TW_PLAN=0 must restore exact engine behavior"
-        );
+    assert_eq!(forced_full.plan, PlanMode::Full.name());
+    assert_eq!(forced_full.stats.trials_computed, engine.len() as u64);
+    assert_eq!(
+        forced_full.digest,
+        digest_outcomes(&engine),
+        "TW_PLAN=0 must restore exact engine behavior"
+    );
+    assert_eq!(forced_full.cells.len(), engine_cells.len());
+    for (served, truth) in forced_full.cells.iter().zip(&engine_cells) {
+        assert_eq!(served.results(), truth.results());
     }
-    assert_eq!(forced_pruned.mode(), PlanMode::Pruned);
-    assert!(forced_pruned.cells_interpolated() > 0);
+    assert_eq!(forced_pruned.plan, PlanMode::Pruned.name());
+    assert!(forced_pruned.cells_interpolated > 0);
+    assert_eq!(unforced.plan, PlanMode::Pruned.name());
 }

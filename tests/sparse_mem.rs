@@ -1,18 +1,14 @@
-//! Differential suite for the sparse demand-allocated physical state.
+//! Suite for the sparse demand-allocated physical state.
 //!
 //! The machine's trap bitmap, its per-frame trap counts and the VM's
 //! frame refcounts sit on chunked backing that materializes 4 KiB
 //! chunks on first write, with untouched chunks sharing one canonical
-//! all-zero page. That layout is only legal because it is
-//! *bit-identical* to the eagerly materialized (dense) layout — same
-//! `TrialResult`, same counters (minus the sparse allocation tallies
-//! themselves). This suite pins that equivalence for every simulator
-//! mode and for serial and parallel sweeps, exercises the two kill
-//! switches (`SystemConfig::with_sparse_mem(false)` and `TW_SPARSE=0`),
-//! and property-tests the chunk materialization/dedup invariants and
-//! the checkpoint codec's sparse trap-state round trip.
-
-use std::sync::{Mutex, MutexGuard};
+//! all-zero page. This suite pins that the backing engages in every
+//! simulator mode and stays bit-identical across serial and parallel
+//! sweeps (its allocation tallies included), and property-tests the
+//! chunk materialization/dedup invariants against a plain `Vec` and
+//! the checkpoint codec's sparse trap-state round trip. The engine
+//! digests in `tests/determinism.rs` pin every mode's results.
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::mem::{PhysAddr, SparseVec, TrapMap, CHUNK_BYTES};
@@ -25,18 +21,6 @@ use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
 const SCALE: u64 = 20_000;
-
-/// Serializes every test that runs the engine: `TW_SPARSE` is
-/// process-global, so the engagement assertions would misfire if
-/// another test flipped it mid-run, and an equivalence test running
-/// beside `TW_SPARSE=0` would compare dense against dense.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`ENV_LOCK`], recovering it if a test panicked while holding it
-/// (the guarded data is `()`, so a poisoned lock carries no bad state).
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn dm(kb: u64) -> CacheConfig {
     CacheConfig::new(kb * 1024, 16, 1).expect("valid geometry")
@@ -80,56 +64,40 @@ fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
     cells.iter().flat_map(|c| c.results()).collect()
 }
 
-/// Counters that legitimately differ between the two backings: the
-/// sparse allocation tallies themselves.
-fn is_sparse_tally(id: CounterId) -> bool {
-    matches!(
-        id,
-        CounterId::SparseChunksAllocated | CounterId::ZeroChunksDeduped | CounterId::ChunkFaults
-    )
-}
-
-/// The acceptance bar: for every simulator mode, a sweep on sparse
-/// backing commits `TrialResult`s bit-identical to forced-dense
-/// backing, at 1, 4 and 8 worker threads.
+/// For every simulator mode, a sweep's `TrialResult`s, counters (the
+/// sparse allocation tallies included: scratch reuse across a worker's
+/// trials must not leak chunk state) and phase cycles are identical at
+/// 1, 4 and 8 worker threads.
 #[test]
-fn sparse_backing_is_bit_identical_to_dense() {
-    let _guard = env_lock();
+fn sparse_backing_is_bit_identical_across_thread_counts() {
     for (label, cfg) in modes() {
-        let dense_cfgs = vec![cfg.clone().with_sparse_mem(false)];
-        let sparse_cfgs = vec![cfg];
-        let dense = run_sweep(&dense_cfgs, 4, SeedSeq::new(1994), 1);
-        for threads in [1usize, 4, 8] {
-            let sparse = run_sweep(&sparse_cfgs, 4, SeedSeq::new(1994), threads);
+        let cfgs = vec![cfg];
+        let serial = run_sweep(&cfgs, 4, SeedSeq::new(1994), 1);
+        for threads in [4usize, 8] {
+            let parallel = run_sweep(&cfgs, 4, SeedSeq::new(1994), threads);
             assert_eq!(
-                flatten(&dense),
-                flatten(&sparse),
-                "{label}: sparse backing diverged from dense at threads={threads}"
+                flatten(&serial),
+                flatten(&parallel),
+                "{label}: results diverged at threads={threads}"
             );
-            let (dm, sm) = (&dense[0].metrics(), &sparse[0].metrics());
-            for (id, dv) in dm.counters.iter() {
-                if is_sparse_tally(id) {
-                    continue;
-                }
+            let (sm, pm) = (&serial[0].metrics(), &parallel[0].metrics());
+            for (id, sv) in sm.counters.iter() {
                 assert_eq!(
-                    dv,
-                    sm.counters.get(id),
+                    sv,
+                    pm.counters.get(id),
                     "{label}: counter {id} diverged at threads={threads}"
                 );
             }
-            assert_eq!(dm.phases, sm.phases, "{label}: phase cycles diverged");
+            assert_eq!(sm.phases, pm.phases, "{label}: phase cycles diverged");
         }
     }
 }
 
 /// Sparse backing actually engages everywhere: every mode demand-
 /// materializes some chunks and leaves the untouched remainder
-/// deduped; the config kill switch pre-materializes everything and
-/// never faults.
+/// deduped.
 #[test]
 fn sparse_backing_engages_in_every_mode() {
-    let _guard = env_lock();
-    std::env::remove_var("TW_SPARSE");
     let base = SeedSeq::new(1994);
     let trial = base.derive("sparse", 0).derive("trial", 0);
 
@@ -144,51 +112,7 @@ fn sparse_backing_engages_in_every_mode() {
             deduped > 0,
             "{label}: expected untouched chunks to share the canonical page"
         );
-
-        let (_, m) = run_trial_observed(
-            &cfg.with_sparse_mem(false),
-            base,
-            trial,
-            ObsConfig::default(),
-        );
-        assert_eq!(
-            m.counters.get(CounterId::ChunkFaults),
-            0,
-            "{label}: dense mode must never demand-fault"
-        );
-        assert_eq!(
-            m.counters.get(CounterId::ZeroChunksDeduped),
-            0,
-            "{label}: dense mode dedups nothing"
-        );
     }
-}
-
-/// `TW_SPARSE=0` is the no-recompile kill switch: it forces dense
-/// backing (observable in the counters) without perturbing any result.
-#[test]
-fn tw_sparse_env_knob_forces_dense_backing() {
-    let _guard = env_lock();
-    let base = SeedSeq::new(1994);
-    let trial = base.derive("sparse", 0).derive("trial", 0);
-    let cfg = SystemConfig::cache(Workload::Espresso, dm(4)).with_scale(SCALE);
-
-    std::env::remove_var("TW_SPARSE");
-    let (on_result, on_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    assert!(on_metrics.counters.get(CounterId::ChunkFaults) > 0);
-
-    std::env::set_var("TW_SPARSE", "0");
-    let (off_result, off_metrics) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_SPARSE");
-
-    assert_eq!(off_metrics.counters.get(CounterId::ChunkFaults), 0);
-    assert_eq!(off_metrics.counters.get(CounterId::ZeroChunksDeduped), 0);
-    assert_eq!(on_result, off_result, "TW_SPARSE=0 perturbed the result");
-    // Any value other than "0" leaves sparse backing on.
-    std::env::set_var("TW_SPARSE", "1");
-    let (_, again) = run_trial_observed(&cfg, base, trial, ObsConfig::default());
-    std::env::remove_var("TW_SPARSE");
-    assert!(again.counters.get(CounterId::ChunkFaults) > 0);
 }
 
 /// SplitMix64 — the repo's stand-in for a property-test generator
@@ -211,12 +135,13 @@ fn chunk_materialization_and_dedup_invariants_hold_under_random_ops() {
     let mut s = 0x5eed_u64;
     for round in 0..8 {
         let len = 1 + (splitmix(&mut s) % 10_000) as usize;
-        let mut v: SparseVec<u64> = SparseVec::new(len, 0, false);
+        let mut v: SparseVec<u64> = SparseVec::new(len, 0);
         let mut reference = vec![0u64; len];
         let mut last_faults = 0;
         for _ in 0..2_000 {
             let i = (splitmix(&mut s) as usize) % len;
-            // Bias toward zero stores so re-canonicalization sees work.
+            // Bias toward zero stores so fill stores land in both
+            // materialized and untouched chunks.
             let value = match splitmix(&mut s) % 4 {
                 0 | 1 => 0,
                 _ => splitmix(&mut s),
@@ -249,31 +174,18 @@ fn chunk_materialization_and_dedup_invariants_hold_under_random_ops() {
                 assert_eq!(v.stats(), before, "fill store must not materialize");
             }
         }
-        // Compaction reclaims every all-zero chunk and changes nothing
-        // observable.
-        v.compact();
-        let after = v.stats();
-        assert_eq!(
-            after.chunks_allocated + after.zero_chunks_deduped,
-            v.chunks() as u64
-        );
-        for (i, &want) in reference.iter().enumerate() {
-            assert_eq!(v.load(i), want, "round {round} post-compact: index {i}");
-        }
     }
 }
 
 /// Property: the checkpoint codec round-trips a randomly mutated trap
 /// map — state, counts and event counters — through its hex payload,
-/// in both sparse and dense mode, and the payload of a sparse map
-/// stays proportional to touched state.
+/// and the payload stays proportional to touched state.
 #[test]
 fn checkpoint_codec_round_trips_random_trap_state() {
     let mut s = 0xc0de_u64;
     for round in 0..16 {
-        let sparse = round % 2 == 0;
         let mem_bytes = 1u64 << (16 + (splitmix(&mut s) % 8)); // 64 KiB – 8 MiB
-        let mut map = TrapMap::with_mode(mem_bytes, 16, sparse);
+        let mut map = TrapMap::new(mem_bytes, 16);
         for _ in 0..64 {
             let pa = PhysAddr::new(splitmix(&mut s) % mem_bytes);
             let span = 16 * (1 + splitmix(&mut s) % 64);
