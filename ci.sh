@@ -21,7 +21,10 @@
 #      baseline). The same 15% tolerance then applies to every
 #      `per_config` entry individually, so a regression on one config
 #      (say, the miss-heavy cache-4k) cannot hide behind a speedup on
-#      another.
+#      another. Each `per_config` entry's deterministic work counters,
+#      `instructions` and `trap_entries`, must then *equal* the
+#      baseline's: a change in simulated work fails here even where
+#      the time floor cannot see it.
 #   6. Thread-scaling gate: on a multi-core host, two workers must be
 #      at least 1.2x one worker. On a single core, speedup is
 #      physically impossible and any floor would be theatre, so the
@@ -169,6 +172,41 @@ if [ -s results/BENCH_baseline.json ]; then
     }' results/BENCH_baseline.json results/BENCH.json
 else
   echo "ci.sh: no results/BENCH_baseline.json — skipping per-config compare" >&2
+fi
+
+echo "=== tier 2: per-config work-counter gate (exact) ==="
+if [ -s results/BENCH_baseline.json ]; then
+  awk '
+    FNR == 1 { file++ }
+    /"config":/ {
+      match($0, /"config": *"[^"]*"/)
+      name = substr($0, RSTART + 11, RLENGTH - 12)
+      match($0, /"instructions": *[0-9]*/)
+      ins = substr($0, RSTART + 16, RLENGTH - 16)
+      match($0, /"trap_entries": *[0-9]*/)
+      trp = substr($0, RSTART + 16, RLENGTH - 16)
+      if (file == 1) { bi[name] = ins; bt[name] = trp } else { ci[name] = ins; ct[name] = trp }
+    }
+    END {
+      status = 0
+      for (name in bi) {
+        if (bi[name] == "" || bt[name] == "" || !(name in ci)) {
+          printf "ci.sh: work-counter gate: %s lacks instructions/trap_entries\n", \
+            name > "/dev/stderr"
+          status = 1
+        } else if (ci[name] != bi[name] || ct[name] != bt[name]) {
+          printf "ci.sh: work-counter drift: %s instructions %s trap_entries %s, baseline %s / %s\n", \
+            name, ci[name], ct[name], bi[name], bt[name] > "/dev/stderr"
+          status = 1
+        } else {
+          printf "ci.sh: work-counter gate ok: %-12s %s instructions, %s trap entries\n", \
+            name, ci[name], ct[name]
+        }
+      }
+      exit status
+    }' results/BENCH_baseline.json results/BENCH.json
+else
+  echo "ci.sh: no results/BENCH_baseline.json — skipping work-counter compare" >&2
 fi
 
 echo "=== tier 2: thread-scaling gate ==="

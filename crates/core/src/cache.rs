@@ -93,6 +93,7 @@ impl SimCache {
     ///
     /// Addresses are line-aligned internally; callers may pass any
     /// address within the line.
+    #[inline]
     pub fn insert(&mut self, tid: Tid, va: VirtAddr, pa: PhysAddr) -> Option<CacheLine> {
         let line_bytes = self.cfg.line_bytes();
         let entry = CacheLine {
@@ -101,6 +102,37 @@ impl SimCache {
             pa: pa.line_base(line_bytes),
         };
         let set = self.cfg.set_of(entry.va, entry.pa);
+        self.insert_in_set(set, entry)
+    }
+
+    /// [`SimCache::insert`] of a line-aligned `entry` whose set the
+    /// caller already knows: set-state burst service walks a run's
+    /// consecutive sets without a per-line `set_of`.
+    #[inline]
+    pub(crate) fn insert_in_set(&mut self, set: u64, entry: CacheLine) -> Option<CacheLine> {
+        debug_assert_eq!(set, self.cfg.set_of(entry.va, entry.pa));
+        let ways = self.cfg.associativity() as usize;
+        if ways == 1 {
+            // Direct-mapped: the lone way is the whole search, and the
+            // victim when it holds another line. The FIFO cursor never
+            // moves ((0 + 1) % 1 == 0); Random still spends its one
+            // draw per displacement.
+            let slot = &mut self.slots[set as usize];
+            return match slot.line {
+                Some(l) if l == entry => None,
+                None => {
+                    slot.line = Some(entry);
+                    self.resident += 1;
+                    None
+                }
+                Some(_) => {
+                    if self.cfg.replacement() == Replacement::Random {
+                        let _: usize = self.rng.gen_range(0..1);
+                    }
+                    slot.line.replace(entry)
+                }
+            };
+        }
         let range = self.set_range(set);
 
         // One pass over the set: a duplicate (a shared line that
@@ -120,11 +152,7 @@ impl SimCache {
             self.resident += 1;
             return None;
         }
-        let ways = self.cfg.associativity() as usize;
         let victim_way = match self.cfg.replacement() {
-            // Direct-mapped: the lone way is always the victim and the
-            // cursor never moves ((0 + 1) % 1 == 0).
-            Replacement::Fifo if ways == 1 => 0,
             Replacement::Fifo => {
                 let c = &mut self.cursors[set as usize];
                 let way = *c as usize;
@@ -369,6 +397,81 @@ mod tests {
         let victim = r.insert(t, va, pa).expect("full set displaces");
         assert_eq!(victim.pa.raw(), way as u64 * 0x40);
         assert_eq!(r.rng, expect, "one draw per displacement");
+    }
+
+    /// The direct-mapped short-circuit in [`SimCache::insert`] against
+    /// a plain one-line-per-set model over a SplitMix64 stream of lines
+    /// drawn from a pool small enough to revisit sets and repeat lines,
+    /// with the odd page flush to empty slots again: a duplicate
+    /// refreshes without displacing, an empty slot fills (`resident` +
+    /// 1), anything else displaces the lone way. The FIFO cursor never
+    /// moves; Random spends exactly one draw per displacement and none
+    /// otherwise.
+    #[test]
+    fn direct_mapped_insert_matches_a_slot_per_set_model() {
+        for replacement in [Replacement::Fifo, Replacement::Random] {
+            let cfg = CacheConfig::new(256, 16, 1)
+                .unwrap()
+                .with_replacement(replacement);
+            let sets = cfg.sets() as usize;
+            let mut c = SimCache::new(cfg, SeedSeq::new(5));
+            let mut model: Vec<Option<CacheLine>> = vec![None; sets];
+            let mut stream = Rng::from_seed(0xd1_2ec7);
+            let mut seen = [0u32; 3]; // refreshes, fills, displacements
+            for _ in 0..4096 {
+                let r = stream.next_u64();
+                let pa = (r % 64) * 16;
+                // Two tasks share the pool: the same physical line
+                // under another tag is a distinct line in its set.
+                let tid = Tid::new(1 + (r >> 32) as u16 % 2);
+                let entry = CacheLine {
+                    tid,
+                    va: VirtAddr::new(pa + u64::from(tid.raw()) * 0x1000),
+                    pa: PhysAddr::new(pa),
+                };
+                let set = (pa / 16) as usize % sets;
+                if r >> 60 == 0 {
+                    // Empty some slots again: flush a 256-byte "page".
+                    let base = pa & !0xff;
+                    c.flush_physical_page(PhysAddr::new(base), 0x100);
+                    for slot in &mut model {
+                        if slot.is_some_and(|l| l.pa.raw() & !0xff == base) {
+                            *slot = None;
+                        }
+                    }
+                }
+                let (resident, mut draws) = (c.resident(), c.rng.clone());
+                let got = c.insert(entry.tid, entry.va + 7, entry.pa + 3);
+                let want = match model[set] {
+                    Some(l) if l == entry => {
+                        seen[0] += 1;
+                        assert_eq!(c.resident(), resident);
+                        None
+                    }
+                    None => {
+                        seen[1] += 1;
+                        assert_eq!(c.resident(), resident + 1);
+                        model[set] = Some(entry);
+                        None
+                    }
+                    old @ Some(_) => {
+                        seen[2] += 1;
+                        assert_eq!(c.resident(), resident);
+                        if replacement == Replacement::Random {
+                            let _: usize = draws.gen_range(0..1);
+                        }
+                        model[set] = Some(entry);
+                        old
+                    }
+                };
+                assert_eq!(got, want);
+                assert_eq!(c.rng, draws, "{replacement:?}: one draw per displacement");
+                assert!(c.cursors.iter().all(|&k| k == 0));
+                let lines: Vec<_> = c.slots.iter().map(|s| s.line).collect();
+                assert_eq!(lines, model);
+            }
+            assert!(seen.iter().all(|&n| n > 100), "{replacement:?}: {seen:?}");
+        }
     }
 
     #[test]

@@ -2,13 +2,17 @@
 //! [`crate::Tapeworm::service_burst`] and its per-trial scratch.
 //!
 //! A burst is a run of consecutive trapped granules inside one page.
-//! The engine sizes the whole run from the trap bitmap and services
-//! each granule with the same clear and insert-and-re-arm steps as
-//! [`crate::Tapeworm::handle_miss`]; only the clear may be merged into
-//! one op, where geometry rules out a victim landing ahead in the run
-//! ([`crate::Tapeworm::sched_eligible`]). Nothing is cached between
-//! bursts, so the outcome is the stepwise outcome by construction
-//! (pinned by `tests/miss_batch.rs` and the core twin differential in
+//! The engine sizes the whole run from the trap bitmap. Where geometry
+//! rules out a victim landing in the run
+//! ([`crate::Tapeworm::sched_eligible`]), the run is served at slice
+//! cost: one merged clear, one insert per line straight into its set
+//! (the run's sets are consecutive), and the victims re-armed last as
+//! coalesced runs, one word-masked set per address-contiguous stretch
+//! within a frame. Every other geometry serves each granule with
+//! [`crate::Tapeworm::handle_miss`]'s own clear and insert-and-re-arm
+//! steps. Nothing is cached between bursts, so the outcome is the
+//! stepwise outcome by construction (pinned by `tests/miss_batch.rs`
+//! and the core twin differential in
 //! `crates/core/tests/burst_differential.rs`).
 
 use tapeworm_machine::Component;

@@ -46,7 +46,7 @@ impl MissStats {
 
     /// Records `n` observed misses for `component` in one call — the
     /// batched equivalent of `n` [`MissStats::count_miss`] calls, used
-    /// by the scheduled burst path.
+    /// by set-state burst service.
     pub fn count_misses(&mut self, component: Component, n: u64) {
         self.misses[component.index()] += n;
     }

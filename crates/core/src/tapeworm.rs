@@ -346,15 +346,75 @@ impl Tapeworm {
     /// `last_victim`.
     #[inline]
     fn insert_and_rearm(&mut self, traps: &mut TrapMap, tid: Tid, va: VirtAddr, pa: PhysAddr) {
-        self.last_victim = None;
-        if let Some(displaced) = self.tw_replace(tid, va, pa) {
-            self.last_victim = Some(displaced.pa);
-            // Re-arm the trap only while the displaced page is still
-            // registered (it always is — removal flushes — but shared
-            // teardown ordering makes the check cheap insurance).
-            if self.refs_of(Pfn::new(displaced.pa.raw() >> self.page_shift)) > 0 {
-                traps.set_range(displaced.pa, self.cfg.line_bytes());
+        self.last_victim = self.tw_replace(tid, va, pa).map(|displaced| displaced.pa);
+        if let Some(v) = self.last_victim {
+            self.rearm(traps, v.raw(), v.raw() + self.cfg.line_bytes());
+        }
+    }
+
+    /// The table half of a merged-eligible run of `n` misses from the
+    /// line at `(va, pa)`, after the whole run's traps are cleared.
+    /// A run never leaves its service span, one page in the engine, so
+    /// with sets × line ≥ page its lines sit in consecutive sets from
+    /// the first one's and each insert goes straight to its set. Victims are re-armed last,
+    /// coalesced: address-contiguous victims within one frame take one
+    /// word-masked `set_range` and one registration probe. Exact
+    /// because victims of one run sit in distinct sets, hence are
+    /// distinct granules, and `set_range` counts transitions, so the
+    /// trap bits, `count`, `set_events` and per-frame counts equal the
+    /// per-victim re-arms'. A victim inside the run can only be the
+    /// missing line's own alias, and re-arming it after the merged
+    /// clear is exactly the handler's clear-then-re-arm. Pushes one
+    /// victim slot per miss to `victims` when given; sets
+    /// `last_victim`.
+    #[inline]
+    fn insert_run_and_rearm(
+        &mut self,
+        traps: &mut TrapMap,
+        tid: Tid,
+        va: u64,
+        pa: u64,
+        n: u64,
+        mut victims: Option<&mut Vec<u64>>,
+    ) {
+        let line = self.cfg.line_bytes();
+        let frame_mask = self.page_bytes - 1;
+        let first_set = self.cfg.set_of_line(pa >> line.trailing_zeros());
+        debug_assert!(first_set + n <= self.cfg.sets(), "a run's sets wrapped");
+        // The pending re-arm: victim lines [lo, hi) of one frame.
+        let (mut lo, mut hi) = (0, 0);
+        let mut last = None;
+        for i in 0..n {
+            let entry = CacheLine {
+                tid,
+                va: VirtAddr::new(va + i * line),
+                pa: PhysAddr::new(pa + i * line),
+            };
+            last = self.cache.insert_in_set(first_set + i, entry).map(|l| l.pa);
+            if let Some(v) = last.map(PhysAddr::raw) {
+                if v == hi && v & frame_mask != 0 {
+                    hi += line;
+                } else {
+                    self.rearm(traps, lo, hi);
+                    (lo, hi) = (v, v + line);
+                }
             }
+            if let Some(out) = victims.as_deref_mut() {
+                out.push(last.map_or(0, |p| p.raw() + 1));
+            }
+        }
+        self.rearm(traps, lo, hi);
+        self.last_victim = last;
+    }
+
+    /// Re-arms the traps of displaced lines `[lo, hi)`, all in one
+    /// frame, while that frame is still registered (it always is —
+    /// removal flushes — but shared teardown ordering makes the check
+    /// cheap insurance). An empty range is a no-op.
+    #[inline]
+    fn rearm(&self, traps: &mut TrapMap, lo: u64, hi: u64) {
+        if hi > lo && self.refs_of(Pfn::new(lo >> self.page_shift)) > 0 {
+            traps.set_range(PhysAddr::new(lo), hi - lo);
         }
     }
 
@@ -366,10 +426,14 @@ impl Tapeworm {
     /// `true` when a burst's victims can never land in the frame being
     /// serviced: a physically indexed FIFO cache whose set span covers
     /// at least a page, so every granule of a page maps to a distinct
-    /// set and each set's only granule of that frame is the missing one
-    /// itself. [`Tapeworm::service_burst`] then disarms a whole run in
-    /// one merged `clear_range`. On every other geometry it clears one
-    /// granule just before each insert, in [`Tapeworm::handle_miss`]'s
+    /// set, the page's sets are consecutive, and each set's only granule
+    /// of that frame is the missing one itself. [`Tapeworm::service_burst`]
+    /// then serves a whole run at slice cost: one merged `clear_range`,
+    /// one insert per line straight into its set, and the victims
+    /// re-armed after the clear as coalesced `set_range`s, one per
+    /// address-contiguous stretch within a frame. On every other
+    /// geometry it clears one granule just before each insert and
+    /// re-arms each victim at once, in [`Tapeworm::handle_miss`]'s
     /// order, which is exact everywhere: with sets × line below a page
     /// a victim can lie ahead in the run, re-arming a granule the
     /// merged clear already passed, or displacing a re-trapped resident
@@ -387,13 +451,13 @@ impl Tapeworm {
     /// the request's entry, clipped by the remaining words and the live
     /// tick budget exactly as the per-chunk pre-checks of stepwise
     /// execution would be. The run is sized from a handful of bitmap
-    /// word loads ([`TrapMap::trapped_run`]); each granule then takes
-    /// [`Tapeworm::handle_miss`]'s clear and insert-and-re-arm steps.
-    /// Geometry alone decides how traps are cleared (see
-    /// [`Tapeworm::sched_eligible`]): in one merged op where no victim
-    /// can land ahead in the run, else one granule just before each
-    /// insert, re-measuring the run where it ends in case a victim of
-    /// this burst re-armed the next granule.
+    /// word loads ([`TrapMap::trapped_run`]). Geometry alone decides
+    /// how it is served (see [`Tapeworm::sched_eligible`]): where no
+    /// victim can land in the run, as one merged clear, a walk over the
+    /// run's consecutive sets and coalesced victim re-arms; else one
+    /// granule at a time with [`Tapeworm::handle_miss`]'s clear and
+    /// insert-and-re-arm steps, re-measuring the run where it ends in
+    /// case a victim of this burst re-armed the next granule.
     ///
     /// Returns `None` when the burst is not serviceable here — clean
     /// entry granule, or budget-starved before the first chunk — and
@@ -450,15 +514,19 @@ impl Tapeworm {
                 break;
             }
             if merged {
-                // The same k transitions as the per-miss clears, and no
-                // victim can re-arm inside the span.
-                traps.clear_range(PhysAddr::new(base_pa + start * line), (k - start) * line);
+                // The same k - start transitions as the per-miss
+                // clears; every re-arm comes after it.
+                let pa = base_pa + start * line;
+                traps.clear_range(PhysAddr::new(pa), (k - start) * line);
+                let victims = req.want_victims.then_some(&mut sched.victims);
+                let va = base_va + start * line;
+                self.insert_run_and_rearm(traps, req.tid, va, pa, k - start, victims);
+                // No victim re-arms the granule past the run.
+                break;
             }
             for i in start..k {
                 let pa = PhysAddr::new(base_pa + i * line);
-                if !merged {
-                    traps.clear_range(pa, line);
-                }
+                traps.clear_range(pa, line);
                 self.insert_and_rearm(traps, req.tid, VirtAddr::new(base_va + i * line), pa);
                 if req.want_victims {
                     sched
@@ -467,7 +535,7 @@ impl Tapeworm {
                 }
             }
             // Only a victim re-armed at the run's end can extend it.
-            if merged || k < run || rem == 0 || k == g_count {
+            if k < run || rem == 0 || k == g_count {
                 break;
             }
         }

@@ -67,13 +67,17 @@ const REARMED: usize = 3; // clean at entry, re-armed by an earlier victim
 const SHAPES: [&str; 4] = ["refresh", "self-alias", "victim ahead", "re-armed ahead"];
 
 /// Every test geometry with the rare shapes its seeded cases must
-/// reach. The first three are eligible (one merged clear, and no
+/// reach. The first four are eligible (one merged clear, and no
 /// victim can lie ahead in the run); the rest clear one granule at a
 /// time: set spans below a page, random replacement, virtual indexing.
-fn geometries() -> [(CacheConfig, &'static [usize]); 8] {
+fn geometries() -> [(CacheConfig, &'static [usize]); 9] {
     let cfg = |kb: u64, ways| CacheConfig::new(kb * 1024, LINE, ways).expect("valid geometry");
     [
         (cfg(4, 1), &[REFRESH, SELF_ALIAS]),
+        // The `hit-heavy` benchmark cache: a set span of 16 pages, so
+        // the registered frames never conflict with each other and
+        // every victim comes from a foreign line or an alias.
+        (cfg(64, 1), &[REFRESH, SELF_ALIAS]),
         (cfg(8, 2), &[REFRESH, SELF_ALIAS]),
         (cfg(16, 4), &[REFRESH, SELF_ALIAS]),
         (cfg(1, 1), &[REFRESH, SELF_ALIAS, AHEAD, REARMED]),
@@ -119,8 +123,11 @@ fn build(cfg: &CacheConfig, seed: u64, pass: Option<PhysAddr>) -> (Tapeworm, Tra
     }
     let mut rng = SplitMix64(seed);
     // Warm-up misses with perturbations interleaved, so later misses
-    // age the odd lines toward the FIFO cursor.
-    for _ in 0..256 + rng.below(4096) {
+    // age the odd lines toward the FIFO cursor. Caches above 16 KiB
+    // hold most of the registered frames without conflict, so they
+    // get proportionally fewer, which leaves most granules trapped.
+    let warm = 4096 * 16 * 1024 / cfg.size_bytes().max(16 * 1024);
+    for _ in 0..256 + rng.below(warm) {
         let line = rng.below(PAGES * PAGE) & !(LINE - 1);
         match rng.below(24) {
             // A line from an unregistered frame: displacing it must not
@@ -512,4 +519,99 @@ fn a_victim_rearming_the_next_granule_extends_the_burst() {
     assert_eq!(got, want);
     assert_eq!(calls, 1, "the re-armed granule is part of the same burst");
     assert_eq!(snapshot(fast, &fast_traps), snapshot(slow, &slow_traps));
+}
+
+/// Serves `req` on twins from `state` and requires the stepwise
+/// outcome; returns the served twin's trap map and the reference's
+/// miss shapes.
+fn twin_case(state: impl Fn() -> (Tapeworm, TrapMap), req: &BurstRequest) -> (TrapMap, [u64; 4]) {
+    let (mut fast, mut fast_traps) = state();
+    let (mut slow, mut slow_traps) = state();
+    assert!(fast.sched_eligible(), "a merged run is under test");
+    let (got, calls) = serve(&mut fast, &mut fast_traps, req);
+    let mut shapes = [0; 4];
+    let want = stepwise(&mut slow, &mut slow_traps, req, &mut shapes);
+    assert_eq!(got, want);
+    assert_eq!(calls, 1);
+    let traps = fast_traps.clone();
+    assert_eq!(snapshot(fast, &fast_traps), snapshot(slow, &slow_traps));
+    (traps, shapes)
+}
+
+/// A merged run's victims re-arm as coalesced runs, and a run must
+/// split where the victims cross a frame: registration is per frame.
+/// The engine's service span is one page, which keeps the victims of
+/// one run inside one frame; a span over two 2 KiB frames under a 4 KiB
+/// direct-mapped cache does not. Frames 0 and 1 hold the run, lines of
+/// frames 2 and 3 fill every set, and frame 3 is unregistered: the
+/// victims are one address-contiguous stretch from 4096 to 8192, of
+/// which only the first half may be re-armed.
+#[test]
+fn coalesced_rearm_splits_victims_at_frame_boundaries() {
+    const FRAME: u64 = PAGE / 2;
+    let state = || {
+        let cfg = CacheConfig::new(4 * 1024, LINE, 1).expect("valid geometry");
+        let mut tw = Tapeworm::new(cfg, FRAME, SeedSeq::new(1994));
+        let mut traps = TrapMap::new(FRAMES * PAGE, LINE);
+        let tid = Tid::new(1);
+        for f in [0, 1, 2] {
+            tw.tw_register_page(&mut traps, tid, Pfn::new(f), f);
+        }
+        for addr in (2 * FRAME..4 * FRAME).step_by(LINE as usize) {
+            let (va, pa) = (VirtAddr::new(addr), PhysAddr::new(addr));
+            if addr < 3 * FRAME {
+                tw.handle_miss(&mut traps, Component::User, tid, va, pa);
+            } else {
+                tw.tw_replace(tid, va, pa);
+            }
+        }
+        (tw, traps)
+    };
+    let (traps, _) = twin_case(state, &whole_page_from(0));
+    let lines = FRAME / LINE;
+    assert_eq!(
+        traps.trapped_run(PhysAddr::new(2 * FRAME), 2 * lines),
+        lines
+    );
+    assert_eq!(traps.frame_trapped(PhysAddr::new(2 * FRAME)), lines as u32);
+}
+
+/// A merged run whose victims include the alias of one of its own
+/// lines. In an 8 KiB 2-way cache (set span = page), set 128 holds an
+/// alias of frame 0's offset 2048 (another task, another virtual page)
+/// at the FIFO cursor and frame 1's line behind it; every other set
+/// holds frames 1 and 2. A burst over frame 0 displaces frame 1's
+/// lines around the alias, so the victims re-arm as three runs, and the
+/// alias victim re-arms the line its own miss just cleared: in handler
+/// order the line ends resident *and* trapped, with one clear and one
+/// set event, which only holds if the re-arm follows the merged clear.
+#[test]
+fn a_self_alias_victim_rearms_its_line_after_the_merged_clear() {
+    const ALIAS: u64 = 2048;
+    let state = || {
+        let cfg = CacheConfig::new(8 * 1024, LINE, 2).expect("valid geometry");
+        let mut tw = Tapeworm::new(cfg, PAGE, SeedSeq::new(1994));
+        let mut traps = TrapMap::new(FRAMES * PAGE, LINE);
+        let tid = Tid::new(1);
+        for p in 0..3 {
+            tw.tw_register_page(&mut traps, tid, Pfn::new(p), p);
+        }
+        let alias_va = VirtAddr::new(ALIAS + 8 * PAGE);
+        tw.tw_replace(Tid::new(2), alias_va, PhysAddr::new(ALIAS));
+        for addr in (PAGE..3 * PAGE).step_by(LINE as usize) {
+            if addr != 2 * PAGE + ALIAS {
+                let (va, pa) = (VirtAddr::new(addr), PhysAddr::new(addr));
+                tw.handle_miss(&mut traps, Component::User, tid, va, pa);
+            }
+        }
+        (tw, traps)
+    };
+    let (traps, shapes) = twin_case(state, &whole_page_from(0));
+    assert_eq!(shapes[SELF_ALIAS], 1);
+    assert!(traps.is_trapped(PhysAddr::new(ALIAS)));
+    assert_eq!(traps.frame_trapped(PhysAddr::new(0)), 1);
+    assert_eq!(
+        traps.frame_trapped(PhysAddr::new(PAGE)),
+        (PAGE / LINE - 1) as u32
+    );
 }

@@ -257,7 +257,7 @@ impl Machine {
     /// Length of the run of consecutive trapped granules starting at
     /// `pa`'s granule, capped at `max_granules` —
     /// [`TrapMap::trapped_run`]'s word-at-a-time bitmap scan. Every
-    /// probe inside the run would trap, so the scheduled burst path
+    /// probe inside the run would trap, so set-state burst service
     /// can size a whole miss burst from a handful of word loads.
     #[inline]
     pub fn trapped_run(&self, pa: PhysAddr, max_granules: u64) -> u64 {

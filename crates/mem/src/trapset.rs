@@ -367,7 +367,7 @@ impl TrapMap {
     /// Length of the run of consecutive trapped granules starting at
     /// `pa`'s granule, capped at `max_granules`. The dual of
     /// [`TrapMap::clean_span`]: where the resident-run fast path asks
-    /// "how far is everything clean?", the scheduled burst path asks
+    /// "how far is everything clean?", set-state burst service asks
     /// "how many granules in a row would trap?" so a whole miss burst
     /// can be sized from a handful of word loads instead of one bitmap
     /// probe per granule. Granules past the end of the map are never

@@ -34,9 +34,11 @@ fn two_way(kb: u64) -> CacheConfig {
 /// One configuration per simulator mode, same shapes as the golden
 /// determinism matrix, then one per kind of cache geometry: set spans
 /// below a page, random replacement, virtual indexing and set sampling,
-/// on the single cache and the split I-side. The miss-rich `user_only`
-/// cache configs mirror the throughput gate, where batching matters
-/// most.
+/// on the single cache and the split I-side, and two more geometries
+/// served as merged runs (set span ≥ page): the `hit-heavy` benchmark
+/// cache and a set-associative FIFO whose set span is exactly a page.
+/// The miss-rich `user_only` cache configs mirror the throughput gate,
+/// where batching matters most.
 fn modes() -> Vec<(&'static str, SystemConfig)> {
     vec![
         (
@@ -99,6 +101,16 @@ fn modes() -> Vec<(&'static str, SystemConfig)> {
         (
             "split-2way",
             SystemConfig::split(Workload::JpegPlay, two_way(4), two_way(4)).with_scale(SCALE),
+        ),
+        (
+            "cache-64k-user-only",
+            SystemConfig::cache(Workload::MpegPlay, dm(64))
+                .with_components(ComponentSet::user_only())
+                .with_scale(SCALE),
+        ),
+        (
+            "cache-2way-8k",
+            SystemConfig::cache(Workload::MpegPlay, two_way(8)).with_scale(SCALE),
         ),
         (
             "split-virtual-i",
