@@ -34,10 +34,6 @@
 #      burst-service counter miss_batch_flushes and the retired
 #      victim_memo_hits slot (always 0; kept because the codecs index
 #      counters by slot).
-#   7b. Trapset microbench (feature-gated): build with
-#      `--features microbench`, run it, and check the
-#      tapeworm-microbench-v1 artifact is well-formed. Informational —
-#      the per-op numbers are recorded, not gated.
 #   7c. Memory-footprint gate: a smoke sweep over 64 GiB of simulated
 #      physical memory must complete with max RSS under the ceiling
 #      checked into perf_throughput (--large-mem). Only possible because
@@ -55,6 +51,10 @@
 #      or workload. TW_* knobs are resolved at the process edge (the
 #      bench binaries, the server CLI, twbench) and passed down as
 #      configuration.
+#   9b. The workspace has no cargo features: no `[features]` table in
+#      any workspace Cargo.toml and no `cfg(feature` under crates/,
+#      src/ or tests/, so `cargo test --workspace` with no flags builds
+#      and runs every line of Rust.
 #  10. Sweep-planner differential gate: specs/ci_planner.toml (pruned)
 #      and specs/ci_planner_full.toml (the identical grid, planner off)
 #      drained through the service. The pruned run must actually save
@@ -93,7 +93,6 @@ fi
 
 echo "=== tier 2: warnings-as-errors (workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
-RUSTFLAGS="-D warnings" cargo check -q -p tapeworm-bench --features microbench --all-targets
 
 echo "=== tier 2: perf_throughput gate run ==="
 ./target/release/perf_throughput --gate
@@ -249,18 +248,6 @@ grep -q '"schema": "tapeworm-metrics-v1"' results/METRICS.json || {
   echo "ci.sh: results/METRICS.json has wrong schema id" >&2; exit 1;
 }
 
-echo "=== tier 2: trapset microbench (informational) ==="
-# Feature-gated off the default build; CI builds and runs it so the
-# tapeworm-microbench-v1 artifact stays well-formed and the per-op
-# trapset costs are recorded alongside BENCH.json. Informational: the
-# schema is gated, the numbers are not.
-cargo build -q --release -p tapeworm-bench --features microbench
-./target/release/microbench_trapset
-test -s results/MICROBENCH.json || { echo "ci.sh: results/MICROBENCH.json missing or empty" >&2; exit 1; }
-grep -q '"schema": "tapeworm-microbench-v1"' results/MICROBENCH.json || {
-  echo "ci.sh: results/MICROBENCH.json has wrong schema id" >&2; exit 1;
-}
-
 echo "=== tier 2: memory-footprint gate (64 GiB simulated, sparse backing) ==="
 # The large-address-space smoke: 64 GiB of simulated physical memory
 # must fit in the RSS ceiling checked into perf_throughput
@@ -340,6 +327,16 @@ echo "=== tier 2: library crates read no environment ==="
 # any config, spec or fingerprint; knobs belong to the binaries.
 if grep -rn 'env::var' crates/{core,mem,machine,os,sim,obs,stats,trace,workload}/src; then
   echo "ci.sh: library crates read the environment (env::var above)" >&2; exit 1;
+fi
+
+echo "=== tier 2: no cargo features ==="
+# Code behind a cargo feature is code the default build never
+# compiles; the property suites once sat behind one, unbuilt.
+if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
+  echo "ci.sh: workspace manifests declare features (above)" >&2; exit 1;
+fi
+if grep -rn 'cfg(feature' crates src tests; then
+  echo "ci.sh: sources gate code behind a cargo feature (above)" >&2; exit 1;
 fi
 
 echo "=== tier 2: sweep-planner differential gate ==="

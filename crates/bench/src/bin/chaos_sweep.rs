@@ -30,8 +30,8 @@ use std::process::ExitCode;
 use tapeworm_bench::threads;
 use tapeworm_obs::{MetricsReport, TrialMetrics};
 use tapeworm_sim::{
-    run_sweep_resilient, CheckpointConfig, ComponentSet, FaultPlan, SweepOptions, SweepOutcome,
-    SystemConfig, TrialResult, TrialSummary,
+    fnv1a, run_sweep_resilient, CheckpointConfig, ComponentSet, FaultPlan, SweepOptions,
+    SweepOutcome, SystemConfig, TrialResult, TrialSummary,
 };
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
@@ -51,15 +51,6 @@ fn configs() -> Vec<SystemConfig> {
                 .with_sampling(8)
         })
         .collect()
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
 }
 
 /// Same digest as `tests/determinism.rs::chaos_digest`: flattened

@@ -13,21 +13,12 @@ use tapeworm_server::{
     digest_outcomes, BackendOptions, InProcessBackend, SweepPlan, WorkerBackend,
 };
 use tapeworm_sim::{
-    run_trial, run_trial_windowed, ComponentSet, SystemConfig, TrialResult, WindowSample,
+    fnv1a, run_trial, run_trial_windowed, ComponentSet, SystemConfig, TrialResult, WindowSample,
 };
 use tapeworm_stats::SeedSeq;
 use tapeworm_workload::Workload;
 
 const SCALE: u64 = 20_000;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
 
 fn digest(result: &TrialResult, windows: &[WindowSample]) -> u64 {
     fnv1a(format!("{result:?}|{windows:?}").as_bytes())

@@ -60,7 +60,7 @@ use tapeworm_bench::{
     base_seed, large_mem_smoke_config, max_rss_bytes, threads, LARGE_MEM_SMOKE_BYTES,
 };
 use tapeworm_core::{CacheConfig, Indexing, TlbSimConfig};
-use tapeworm_obs::{write_atomic, CounterId, MetricsReport};
+use tapeworm_obs::{escape, write_atomic, CounterId, MetricsReport};
 use tapeworm_sim::{
     run_sweep, run_sweep_planned, schedule_helper_trials, ComponentSet, PlannedCell, PlannerConfig,
     SweepOptions, SystemConfig,
@@ -307,10 +307,6 @@ fn matrix(scale: u64) -> Vec<(String, SystemConfig)> {
     ]
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     if std::env::args().any(|a| a == "--large-mem") {
         run_large_mem_gate();
@@ -479,7 +475,7 @@ fn main() {
     let _ = writeln!(json, "  \"trials\": {trials},");
     let names: Vec<String> = configs
         .iter()
-        .map(|(n, _)| format!("\"{}\"", json_escape(n)))
+        .map(|(n, _)| format!("\"{}\"", escape(n)))
         .collect();
     let _ = writeln!(json, "  \"configs\": [{}],", names.join(", "));
     let _ = writeln!(json, "  \"baseline_refs_per_sec\": {baseline:.0},");
@@ -488,7 +484,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"config\": \"{}\", \"wall_secs\": {:.6}, \"instructions\": {}, \"refs_per_sec\": {:.0}, \"trap_entries\": {}, \"ns_per_miss\": {:.2}, \"sparse_chunks_allocated\": {}, \"chunk_faults\": {}}}{}",
-            json_escape(&c.name),
+            escape(&c.name),
             c.wall_secs,
             c.instructions,
             c.refs_per_sec,
@@ -554,7 +550,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"scaling_status\": \"{}\",",
-        json_escape(&scaling_status)
+        escape(&scaling_status)
     );
     let _ = writeln!(json, "  \"scaling\": [");
     for (i, r) in runs.iter().enumerate() {

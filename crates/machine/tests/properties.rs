@@ -1,25 +1,32 @@
-// Property-based suites need the external `proptest` crate, which the
-// offline build intentionally omits. Enable with
-// `--features proptest` after restoring the dev-dependency (see ci.sh).
-#![cfg(feature = "proptest")]
+//! Randomized properties of the machine crate. Each case draws its
+//! inputs from its own SplitMix64 stream, a pure function of the
+//! property's name and the case index, so a failing case replays
+//! alone. Dependency-free; runs with the default `cargo test`.
 
-//! Property-based tests for the machine crate.
+use std::collections::BTreeSet;
 
-use proptest::prelude::*;
 use tapeworm_machine::{
     AccessKind, DmaEngine, FetchOutcome, IntervalClock, Machine, MachineConfig, Tlb, TlbOutcome,
 };
 use tapeworm_mem::{Pfn, PhysAddr, TrapMap, VirtAddr, WritePolicy};
-use tapeworm_stats::SeedSeq;
+use tapeworm_stats::{Rng, SeedSeq};
 
-proptest! {
-    /// The clock fires exactly floor(total / period) interrupts no
-    /// matter how the advance is chunked.
-    #[test]
-    fn clock_firing_is_chunking_invariant(
-        period in 1u64..10_000,
-        chunks in proptest::collection::vec(0u64..5_000, 1..50),
-    ) {
+const CASES: u64 = 256;
+
+fn case_rng(property: &str, case: u64) -> Rng {
+    SeedSeq::new(1994).derive(property, case).rng()
+}
+
+/// The clock fires exactly floor(total / period) interrupts no
+/// matter how the advance is chunked.
+#[test]
+fn clock_firing_is_chunking_invariant() {
+    for case in 0..CASES {
+        let mut rng = case_rng("clock_firing_is_chunking_invariant", case);
+        let period = rng.gen_range(1..10_000u64);
+        let chunks: Vec<u64> = (0..rng.gen_range(1..50usize))
+            .map(|_| rng.gen_range(0..5_000u64))
+            .collect();
         let total: u64 = chunks.iter().sum();
         let mut chunked = IntervalClock::new(period);
         let mut n = 0;
@@ -28,38 +35,52 @@ proptest! {
         }
         let mut whole = IntervalClock::new(period);
         let m = whole.advance(total);
-        prop_assert_eq!(n, m);
-        prop_assert_eq!(n, total / period);
+        assert_eq!(n, m, "case {case}");
+        assert_eq!(n, total / period, "case {case}");
     }
+}
 
-    /// A TLB with n entries holds at most n translations: after probing
-    /// k <= wired-free entries inserted, all are hits.
-    #[test]
-    fn tlb_holds_working_set_up_to_capacity(cap in 2usize..32, pages in 1usize..31) {
-        prop_assume!(pages < cap); // leave the one wired slot out
+/// A TLB with n entries holds at most n translations: after probing
+/// k <= wired-free entries inserted, all are hits.
+#[test]
+fn tlb_holds_working_set_up_to_capacity() {
+    for case in 0..CASES {
+        let mut rng = case_rng("tlb_holds_working_set_up_to_capacity", case);
+        // Leave the one wired slot out: redraw until pages < cap.
+        let (cap, pages) = loop {
+            let (cap, pages) = (rng.gen_range(2..32usize), rng.gen_range(1..31usize));
+            if pages < cap {
+                break (cap, pages);
+            }
+        };
         let mut tlb = Tlb::new(cap, 1, 4096, SeedSeq::new(1));
         for p in 0..pages as u64 {
             let va = VirtAddr::new(p * 4096);
-            prop_assert_eq!(tlb.probe(1, va), TlbOutcome::Miss);
+            assert_eq!(tlb.probe(1, va), TlbOutcome::Miss, "case {case}");
             tlb.refill(1, va, Pfn::new(p));
         }
         for p in 0..pages as u64 {
             let va = VirtAddr::new(p * 4096);
-            prop_assert_eq!(tlb.probe(1, va), TlbOutcome::Hit(Pfn::new(p)));
+            assert_eq!(
+                tlb.probe(1, va),
+                TlbOutcome::Hit(Pfn::new(p)),
+                "case {case}: {pages} pages in {cap} entries"
+            );
         }
     }
+}
 
-    /// Machine access outcomes are a pure function of trap state,
-    /// access kind, write policy and interrupt mask.
-    #[test]
-    fn access_outcome_table(
-        trapped in any::<bool>(),
-        enabled in any::<bool>(),
-        kind_ix in 0u8..3,
-        no_alloc in any::<bool>(),
-    ) {
-        let kind = [AccessKind::IFetch, AccessKind::Load, AccessKind::Store][kind_ix as usize];
-        let policy = if no_alloc {
+/// Machine access outcomes are a pure function of trap state,
+/// access kind, write policy and interrupt mask.
+#[test]
+fn access_outcome_table() {
+    for case in 0..CASES {
+        let mut rng = case_rng("access_outcome_table", case);
+        let trapped: bool = rng.gen();
+        let enabled: bool = rng.gen();
+        let kind =
+            [AccessKind::IFetch, AccessKind::Load, AccessKind::Store][rng.gen_range(0..3usize)];
+        let policy = if rng.gen() {
             WritePolicy::NoAllocateOnWrite
         } else {
             WritePolicy::AllocateOnWrite
@@ -86,21 +107,29 @@ proptest! {
             (true, _, _, true) => FetchOutcome::EccTrap,
             (true, _, _, false) => FetchOutcome::MaskedEccSkipped,
         };
-        prop_assert_eq!(out, expect);
+        assert_eq!(out, expect, "case {case}: {kind:?} {policy:?}");
     }
+}
 
-    /// DMA destroys exactly the armed granules its window overlaps —
-    /// no more, no fewer — and re-arming precisely those granules
-    /// restores the trap set bit-exactly (the §4.3 OS recovery
-    /// contract the failure-injection suite exercises end to end).
-    #[test]
-    fn dma_destroys_exactly_the_overlap_and_rearm_restores(
-        armed in proptest::collection::btree_set(0u64..64, 0..40),
-        start_g in 0u64..64,
-        len_g in 1u64..32,
-    ) {
-        const GRANULE: u64 = 16;
-        const GRANULES: u64 = 64;
+/// DMA destroys exactly the armed granules its window overlaps —
+/// no more, no fewer — and re-arming precisely those granules
+/// restores the trap set bit-exactly (the §4.3 OS recovery
+/// contract the failure-injection suite exercises end to end).
+#[test]
+fn dma_destroys_exactly_the_overlap_and_rearm_restores() {
+    const GRANULE: u64 = 16;
+    const GRANULES: u64 = 64;
+    for case in 0..CASES {
+        let mut rng = case_rng("dma_destroys_exactly_the_overlap_and_rearm_restores", case);
+        // A set of up to 39 distinct armed granules.
+        let target = rng.gen_range(0..40usize);
+        let mut armed = BTreeSet::new();
+        while armed.len() < target {
+            armed.insert(rng.gen_range(0..GRANULES));
+        }
+        let start_g = rng.gen_range(0..GRANULES);
+        let len_g = rng.gen_range(1..32u64);
+
         let mut traps = TrapMap::new(GRANULES * GRANULE, GRANULE);
         for &g in &armed {
             traps.set_range(PhysAddr::new(g * GRANULE), GRANULE);
@@ -109,39 +138,46 @@ proptest! {
 
         let start = start_g * GRANULE;
         let size = (len_g * GRANULE).min(GRANULES * GRANULE - start);
-        prop_assume!(size > 0);
         let mut dma = DmaEngine::new();
         let destroyed = dma.transfer(&mut traps, PhysAddr::new(start), size);
 
         let touched = start_g..start_g + size / GRANULE;
-        let overlapped: Vec<u64> =
-            armed.iter().copied().filter(|g| touched.contains(g)).collect();
-        prop_assert_eq!(destroyed, overlapped.len() as u64, "destroyed = armed ∩ window");
+        let overlapped: Vec<u64> = armed
+            .iter()
+            .copied()
+            .filter(|g| touched.contains(g))
+            .collect();
+        assert_eq!(
+            destroyed,
+            overlapped.len() as u64,
+            "case {case}: destroyed = armed ∩ window"
+        );
         for &g in &overlapped {
-            prop_assert!(!traps.is_trapped(PhysAddr::new(g * GRANULE)));
+            assert!(!traps.is_trapped(PhysAddr::new(g * GRANULE)), "case {case}");
             traps.set_range(PhysAddr::new(g * GRANULE), GRANULE);
         }
-        prop_assert_eq!(&traps, &snapshot);
+        assert_eq!(traps, snapshot, "case {case}");
     }
+}
 
-    /// The O(1) per-frame trapped-granule counts behind
-    /// `TrapMap::frame_clean` never drift from the raw bitmap, no
-    /// matter how arms, disarms, sampled arms, and DMA strikes with
-    /// OS re-arm are interleaved — the safety condition of the
-    /// resident-run fast path.
-    #[test]
-    fn frame_counts_survive_dma_and_rearm(
-        ops in proptest::collection::vec(
-            (0u8..4, 0u64..8 * 4096, 1u64..9000),
-            1..40,
-        ),
-    ) {
-        const FRAME: u64 = 4096; // TrapMap::FRAME_BYTES
-        const MEM: u64 = 8 * FRAME;
-        const GRANULE: u64 = 16;
+/// The O(1) per-frame trapped-granule counts behind
+/// `TrapMap::frame_clean` never drift from the raw bitmap, no
+/// matter how arms, disarms, sampled arms, and DMA strikes with
+/// OS re-arm are interleaved — the safety condition of the
+/// resident-run fast path.
+#[test]
+fn frame_counts_survive_dma_and_rearm() {
+    const FRAME: u64 = 4096; // TrapMap::FRAME_BYTES
+    const MEM: u64 = 8 * FRAME;
+    const GRANULE: u64 = 16;
+    for case in 0..CASES {
+        let mut rng = case_rng("frame_counts_survive_dma_and_rearm", case);
         let mut traps = TrapMap::new(MEM, GRANULE);
         let mut dma = DmaEngine::new();
-        for (op, start, size) in ops {
+        for _ in 0..rng.gen_range(1..40usize) {
+            let op = rng.gen_range(0..4u8);
+            let start = rng.gen_range(0..MEM);
+            let size = rng.gen_range(1..9000u64);
             let pa = PhysAddr::new(start);
             match op {
                 0 => traps.set_range(pa, size),
@@ -166,11 +202,10 @@ proptest! {
                         base < (f + 1) * FRAME && base + GRANULE > f * FRAME
                     })
                     .count() as u32;
-                prop_assert_eq!(
+                assert_eq!(
                     traps.frame_trapped(PhysAddr::new(f * FRAME)),
                     expected,
-                    "frame {} count drifted from the bitmap",
-                    f
+                    "case {case}: frame {f} count drifted from the bitmap"
                 );
             }
         }

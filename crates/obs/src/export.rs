@@ -209,7 +209,10 @@ pub fn metrics_json_fields(metrics: &TrialMetrics) -> String {
     )
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string: quotes, backslashes and
+/// control characters. The one escape rule of every JSON the workspace
+/// writes by hand.
+pub fn escape(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => vec!['\\', '"'],

@@ -34,7 +34,7 @@ mod phase;
 mod ring;
 
 pub use counters::{CounterId, Counters};
-pub use export::{metrics_json_fields, write_atomic, MetricsReport, METRICS_SCHEMA};
+pub use export::{escape, metrics_json_fields, write_atomic, MetricsReport, METRICS_SCHEMA};
 pub use metrics::TrialMetrics;
 pub use phase::{Phase, PhaseCycles};
 pub use ring::{TrapEvent, TrapKind, TrapRing};

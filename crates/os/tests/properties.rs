@@ -1,98 +1,115 @@
-// Property-based suites need the external `proptest` crate, which the
-// offline build intentionally omits. Enable with
-// `--features proptest` after restoring the dev-dependency (see ci.sh).
-#![cfg(feature = "proptest")]
+//! Randomized properties of the OS substrate. Each case draws its
+//! inputs from its own SplitMix64 stream, a pure function of the
+//! property's name and the case index, so a failing case replays
+//! alone. Dependency-free; runs with the default `cargo test`.
 
-//! Property-based tests for the OS substrate.
+use std::collections::BTreeSet;
 
-use proptest::prelude::*;
 use tapeworm_machine::Component;
 use tapeworm_mem::{PageSize, SequentialAllocator, VirtAddr};
-use tapeworm_os::{Os, OsConfig, TapewormAttrs, TaskTable, Tid, Vm, VmEvent};
+use tapeworm_os::{Os, OsConfig, TapewormAttrs, TaskTable, Tid, Touch, Vm, VmEvent};
+use tapeworm_stats::{Rng, SeedSeq};
 
-proptest! {
-    /// The inheritance rule composes: in any fork tree rooted at a
-    /// task with attributes (s, i), every descendant has
-    /// simulate == inherit == i.
-    #[test]
-    fn inheritance_is_determined_by_the_root_inherit_bit(
-        root_simulate in any::<bool>(),
-        root_inherit in any::<bool>(),
-        // Each entry forks from the task at (index % created so far).
-        forks in proptest::collection::vec(0usize..64, 1..60),
-    ) {
+const CASES: u64 = 256;
+
+fn case_rng(property: &str, case: u64) -> Rng {
+    SeedSeq::new(1994).derive(property, case).rng()
+}
+
+/// The inheritance rule composes: in any fork tree rooted at a
+/// task with attributes (s, i), every descendant has
+/// simulate == inherit == i.
+#[test]
+fn inheritance_is_determined_by_the_root_inherit_bit() {
+    for case in 0..CASES {
+        let mut rng = case_rng("inheritance_is_determined_by_the_root_inherit_bit", case);
+        let root_simulate: bool = rng.gen();
+        let root_inherit: bool = rng.gen();
         let mut t = TaskTable::new();
         let root = t.spawn(None, Component::User).unwrap();
-        t.set_attributes(root, TapewormAttrs { simulate: root_simulate, inherit: root_inherit })
-            .unwrap();
+        t.set_attributes(
+            root,
+            TapewormAttrs {
+                simulate: root_simulate,
+                inherit: root_inherit,
+            },
+        )
+        .unwrap();
         let mut tree = vec![root];
-        for f in forks {
-            let parent = tree[f % tree.len()];
+        // Each fork is from the task at (draw % created so far).
+        for _ in 0..rng.gen_range(1..60usize) {
+            let parent = tree[rng.gen_range(0..64usize) % tree.len()];
             let child = t.fork(parent).unwrap();
             tree.push(child);
         }
         for &tid in &tree[1..] {
             let attrs = t.get(tid).unwrap().attrs;
-            prop_assert_eq!(attrs.simulate, root_inherit);
-            prop_assert_eq!(attrs.inherit, root_inherit);
+            assert_eq!(attrs.simulate, root_inherit, "case {case}");
+            assert_eq!(attrs.inherit, root_inherit, "case {case}");
         }
-        prop_assert_eq!(t.get(root).unwrap().attrs.simulate, root_simulate);
-    }
-
-    /// VM frame accounting balances over arbitrary map/unmap
-    /// sequences: free frames + live mappings' unique frames ==
-    /// capacity, and every unmap event matches a prior registration.
-    #[test]
-    fn vm_frame_accounting_balances(
-        ops in proptest::collection::vec((any::<bool>(), 0u64..32), 1..80),
-    ) {
-        let mut vm = Vm::new(
-            PageSize::DEFAULT,
-            Box::new(SequentialAllocator::new(64)),
+        assert_eq!(
+            t.get(root).unwrap().attrs.simulate,
+            root_simulate,
+            "case {case}"
         );
+    }
+}
+
+/// VM frame accounting balances over arbitrary map/unmap
+/// sequences: free frames + live mappings' unique frames ==
+/// capacity, and every unmap event matches a prior registration.
+#[test]
+fn vm_frame_accounting_balances() {
+    for case in 0..CASES {
+        let mut rng = case_rng("vm_frame_accounting_balances", case);
+        let mut vm = Vm::new(PageSize::DEFAULT, Box::new(SequentialAllocator::new(64)));
         let tid = Tid::new(1);
-        let mut mapped = std::collections::BTreeSet::new();
-        for (map, vpn) in ops {
+        let mut mapped = BTreeSet::new();
+        for _ in 0..rng.gen_range(1..80usize) {
+            let map: bool = rng.gen();
+            let vpn = rng.gen_range(0..32u64);
             if map && !mapped.contains(&vpn) {
                 let (_, ev) = vm.map_new(tid, vpn).unwrap();
                 let ok = matches!(ev, VmEvent::PageRegistered { vpn: v, .. } if v == vpn);
-                prop_assert!(ok, "bad registration event {:?}", ev);
+                assert!(ok, "case {case}: bad registration event {ev:?}");
                 mapped.insert(vpn);
             } else if !map && mapped.contains(&vpn) {
                 let ev = vm.unmap(tid, vpn);
                 let ok = matches!(ev, VmEvent::PageRemoved { vpn: v, .. } if v == vpn);
-                prop_assert!(ok, "bad removal event {:?}", ev);
+                assert!(ok, "case {case}: bad removal event {ev:?}");
                 mapped.remove(&vpn);
             }
         }
-        prop_assert_eq!(vm.resident_pages(tid), mapped.len());
-        prop_assert_eq!(vm.free_frames(), 64 - mapped.len());
+        assert_eq!(vm.resident_pages(tid), mapped.len(), "case {case}");
+        assert_eq!(vm.free_frames(), 64 - mapped.len(), "case {case}");
     }
+}
 
-    /// Translation is stable: a mapped page always translates to the
-    /// same frame until unmapped, regardless of other activity.
-    #[test]
-    fn translation_is_stable_under_unrelated_activity(
-        other_vpns in proptest::collection::vec(1u64..40, 0..20),
-    ) {
+/// Translation is stable: a mapped page always translates to the
+/// same frame until unmapped, regardless of other activity.
+#[test]
+fn translation_is_stable_under_unrelated_activity() {
+    for case in 0..CASES {
+        let mut rng = case_rng("translation_is_stable_under_unrelated_activity", case);
         let mut os = Os::boot(
-            OsConfig { page_size: PageSize::DEFAULT, frames: 128 },
+            OsConfig {
+                page_size: PageSize::DEFAULT,
+                frames: 128,
+            },
             Box::new(SequentialAllocator::new(128)),
         );
         let a = os.spawn_user().unwrap();
         let b = os.spawn_user().unwrap();
         let va = VirtAddr::new(0);
-        let first = match os.touch(a, va).unwrap() {
-            tapeworm_os::Touch::Ok { pa, .. } => pa,
-            other => panic!("{other:?}"),
+        let frame_of_a = |os: &mut Os| match os.touch(a, va).unwrap() {
+            Touch::Ok { pa, .. } => pa,
+            other => panic!("case {case}: {other:?}"),
         };
-        for vpn in other_vpns {
+        let first = frame_of_a(&mut os);
+        for _ in 0..rng.gen_range(0..20usize) {
+            let vpn = rng.gen_range(1..40u64);
             let _ = os.touch(b, VirtAddr::new(vpn * 4096)).unwrap();
         }
-        let again = match os.touch(a, va).unwrap() {
-            tapeworm_os::Touch::Ok { pa, .. } => pa,
-            other => panic!("{other:?}"),
-        };
-        prop_assert_eq!(first, again);
+        assert_eq!(first, frame_of_a(&mut os), "case {case}");
     }
 }

@@ -19,6 +19,7 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
+use tapeworm_obs::escape;
 use tapeworm_sim::{
     fold_outcomes, load_outcomes, run_sweep_planned, save_outcomes, FaultStats, ObsConfig,
     PlanMode, PlannedCell, PlannerConfig, RetryPolicy, SweepOptions, TrialOutcome, TrialSummary,
@@ -421,17 +422,6 @@ impl JobReport {
             self.ci_early_stops,
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]

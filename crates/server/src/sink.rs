@@ -21,11 +21,9 @@ use std::path::Path;
 
 use tapeworm_obs::{metrics_json_fields, write_atomic, METRICS_SCHEMA};
 use tapeworm_sim::{
-    encode_outcome, encode_outcome_digest_v1, PlannedCell, PlannedOutcome, TrialOutcome,
+    encode_outcome, encode_outcome_digest_v1, fnv1a, PlannedCell, PlannedOutcome, TrialOutcome,
     TrialSummary,
 };
-
-use crate::spec::fnv1a;
 
 /// Schema identifier stamped into every run-sink header.
 pub const RUN_SCHEMA: &str = "tapeworm-server-run-v1";

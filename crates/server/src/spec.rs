@@ -32,8 +32,8 @@ use std::fmt;
 
 use tapeworm_core::{CacheConfig, TlbSimConfig};
 use tapeworm_sim::{
-    planned_sweep_fingerprint, sweep_fingerprint, AllocPolicy, ComponentSet, CostKind, PlanMode,
-    PlannerConfig, SystemConfig,
+    fnv1a, planned_sweep_fingerprint, sweep_fingerprint, AllocPolicy, ComponentSet, CostKind,
+    PlanMode, PlannerConfig, SystemConfig,
 };
 use tapeworm_stats::seed::SeedSeq;
 use tapeworm_workload::Workload;
@@ -648,16 +648,6 @@ impl SweepSpec {
         config.cost = self.cost;
         config
     }
-}
-
-/// FNV-1a, the workspace's standard fingerprint hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

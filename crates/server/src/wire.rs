@@ -5,8 +5,8 @@
 //! JSON object. Strings that must survive the trip bit-exactly — spec
 //! text, checkpoint record lines, error messages — travel hex-encoded,
 //! sidestepping JSON string escaping entirely (the workspace has no
-//! serde; field extraction is the same minimal scanner the checkpoint
-//! codec uses).
+//! serde; field extraction and the hex text codec are
+//! [`tapeworm_sim::codec`]'s, shared with the checkpoint records).
 //!
 //! Conversation (`tapeworm-worker-wire-v1`):
 //!
@@ -25,6 +25,8 @@
 //! scheduler's panic containment.
 
 use std::io::{self, Read, Write};
+
+pub use tapeworm_sim::codec::{field, field_usize, hex_decode, hex_encode};
 
 /// Protocol identifier (checked implicitly via the handshake).
 pub const WIRE_PROTOCOL: &str = "tapeworm-worker-wire-v1";
@@ -76,51 +78,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
 
-/// Extracts the raw value of a top-level `"key": value` field from a
-/// single-line JSON object. Values are either quoted strings (returned
-/// without quotes) or bare tokens up to the next `,` or `}`.
-pub fn field<'a>(msg: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\":");
-    let start = msg.find(&pattern)? + pattern.len();
-    let rest = msg[start..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-/// [`field`] parsed as a decimal integer.
-pub fn field_usize(msg: &str, key: &str) -> Option<usize> {
-    field(msg, key)?.parse().ok()
-}
-
-/// Hex-encodes arbitrary text for safe embedding in a JSON string.
-pub fn hex_encode(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() * 2);
-    for b in text.bytes() {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-/// Inverse of [`hex_encode`]; `None` on odd length, bad digits, or
-/// non-UTF-8 decoded bytes.
-pub fn hex_decode(hex: &str) -> Option<String> {
-    if hex.len() % 2 != 0 {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    for chunk in hex.as_bytes().chunks(2) {
-        let hi = (chunk[0] as char).to_digit(16)?;
-        let lo = (chunk[1] as char).to_digit(16)?;
-        bytes.push((hi * 16 + lo) as u8);
-    }
-    String::from_utf8(bytes).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,29 +100,5 @@ mod tests {
         // An absurd length is rejected before allocation.
         let mut bad = &[0xff, 0xff, 0xff, 0xff][..];
         assert!(read_frame(&mut bad).is_err());
-    }
-
-    #[test]
-    fn field_extracts_strings_and_bare_tokens() {
-        let msg = "{\"op\": \"run\", \"index\": 42, \"attempt\": 0, \"line\": \"abc\"}";
-        assert_eq!(field(msg, "op"), Some("run"));
-        assert_eq!(field_usize(msg, "index"), Some(42));
-        assert_eq!(field_usize(msg, "attempt"), Some(0));
-        assert_eq!(field(msg, "line"), Some("abc"));
-        assert_eq!(field(msg, "missing"), None);
-    }
-
-    #[test]
-    fn hex_round_trips_hostile_text() {
-        for text in [
-            "",
-            "plain",
-            "with \"quotes\" and \\slashes\\",
-            "newline\nand \u{1F980}",
-        ] {
-            assert_eq!(hex_decode(&hex_encode(text)).as_deref(), Some(text));
-        }
-        assert_eq!(hex_decode("abc"), None);
-        assert_eq!(hex_decode("zz"), None);
     }
 }

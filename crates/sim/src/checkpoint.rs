@@ -30,6 +30,7 @@ use tapeworm_obs::{CounterId, Phase, TrapEvent, TrapKind, TrialMetrics};
 use tapeworm_stats::trials::{FailureKind, TrialFailure};
 use tapeworm_stats::SeedSeq;
 
+use crate::codec::{field, field_usize, fnv1a, hex_decode, hex_encode};
 use crate::config::SystemConfig;
 use crate::result::TrialResult;
 
@@ -123,15 +124,6 @@ pub(crate) enum LoadResult {
 /// this fingerprint into its result-cache key.
 pub fn sweep_fingerprint(configs: &[SystemConfig], trials: usize, base: SeedSeq) -> u64 {
     fnv1a(format!("{configs:?}|trials={trials}|seed={:x}", base.value()).as_bytes())
-}
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
 }
 
 /// Counter slots in the *frozen* v1 digest encoding. The service
@@ -233,44 +225,6 @@ fn parse_hex_words(s: &str) -> Option<Vec<u64>> {
         .collect()
 }
 
-fn hex_bytes(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() * 2);
-    for b in s.as_bytes() {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
-}
-
-fn parse_hex_bytes(s: &str) -> Option<String> {
-    if s.len() % 2 != 0 {
-        return None;
-    }
-    let bytes: Option<Vec<u8>> = (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect();
-    String::from_utf8(bytes?).ok()
-}
-
-/// Extracts the value of `"key": <value>` from a single-record line.
-/// Values are either quoted strings (hex payloads and tags — never
-/// containing escapes) or bare integers.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-fn field_usize(line: &str, key: &str) -> Option<usize> {
-    field(line, key)?.parse().ok()
-}
-
 /// Renders one committed trial as a single record line.
 pub(crate) fn encode_record(index: usize, outcome: &StoredOutcome) -> String {
     encode_record_slots(index, outcome, CounterId::ALL.len())
@@ -294,7 +248,7 @@ fn encode_record_slots(index: usize, outcome: &StoredOutcome, slots: usize) -> S
                  \"kind\": \"{tag}\", \"message\": \"{}\"}}}}",
                 failure.attempts,
                 failure.backoff_units,
-                hex_bytes(message)
+                hex_encode(message)
             )
         }
     }
@@ -315,7 +269,7 @@ fn decode_record(line: &str) -> Option<(usize, StoredOutcome)> {
     if line.contains("\"failed\"") {
         let attempts = field_usize(line, "attempts")?.try_into().ok()?;
         let backoff_units = u64::from_str_radix(field(line, "backoff")?, 16).ok()?;
-        let message = parse_hex_bytes(field(line, "message")?)?;
+        let message = hex_decode(field(line, "message")?)?;
         let kind = match field(line, "kind")? {
             "panic" => FailureKind::Panic(message),
             "error" => FailureKind::Error(message),
@@ -717,12 +671,19 @@ mod tests {
     }
 
     #[test]
-    fn hex_helpers_round_trip() {
+    fn records_cut_before_their_closing_quote_are_rejected() {
+        for (i, outcome) in sample_outcomes().iter().enumerate() {
+            let line = encode_outcome(i, outcome);
+            // The last quote closes the record's final string value.
+            let cut = &line[..line.rfind('"').unwrap()];
+            assert!(decode_outcome(cut).is_none(), "accepted {cut}");
+        }
+    }
+
+    #[test]
+    fn hex_words_round_trip() {
         let words = vec![0, 1, u64::MAX, 0xDEAD_BEEF];
         assert_eq!(parse_hex_words(&hex_words(&words)).unwrap(), words);
         assert!(parse_hex_words("xyz").is_none());
-        let msg = "panic: \"x\"\n\\slash ünïcode";
-        assert_eq!(parse_hex_bytes(&hex_bytes(msg)).unwrap(), msg);
-        assert!(parse_hex_bytes("abc").is_none());
     }
 }

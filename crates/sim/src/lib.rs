@@ -45,6 +45,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod checkpoint;
+pub mod codec;
 pub mod compare;
 mod config;
 mod fault;
@@ -60,6 +61,7 @@ pub use checkpoint::{
     load_outcomes, save_outcomes, sweep_fingerprint, CheckpointConfig, TrialOutcome,
     CHECKPOINT_SCHEMA, DIGEST_COUNTERS_V1,
 };
+pub use codec::fnv1a;
 pub use config::{AllocPolicy, ComponentSet, CostKind, SimModel, SystemConfig};
 pub use fault::FaultPlan;
 pub use planner::{

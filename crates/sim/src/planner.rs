@@ -296,7 +296,7 @@ pub fn planned_sweep_fingerprint(
         PlanMode::Full => 0.0,
         PlanMode::Pruned => planner.ci_bound,
     };
-    crate::checkpoint::fnv1a(
+    crate::codec::fnv1a(
         format!(
             "{:016x}|plan={}|ci_bound={}",
             sweep_fingerprint(configs, trials, base),

@@ -1,88 +1,88 @@
-// Property-based suites need the external `proptest` crate, which the
-// offline build intentionally omits. Enable with
-// `--features proptest` after restoring the dev-dependency (see ci.sh).
-#![cfg(feature = "proptest")]
+//! Randomized properties of the experiment engine, at tiny instruction
+//! scale so hundreds of full-system trials stay fast. Each case draws
+//! its inputs from its own SplitMix64 stream, a pure function of the
+//! property's name and the case index, so a failing case replays
+//! alone. Dependency-free; runs with the default `cargo test`.
 
-//! Property-based tests of the experiment engine, at tiny instruction
-//! scale so hundreds of full-system trials stay fast.
-
-use proptest::prelude::*;
 use tapeworm_core::{CacheConfig, Indexing};
 use tapeworm_sim::{run_trial, run_trial_windowed, AllocPolicy, ComponentSet, SystemConfig};
-use tapeworm_stats::SeedSeq;
+use tapeworm_stats::{Rng, SeedSeq};
 use tapeworm_workload::Workload;
 
 const TINY: u64 = 20_000; // mpeg_play: ~71k instructions
+const CASES: u64 = 24;
 
-fn any_workload() -> impl Strategy<Value = Workload> {
-    (0usize..8).prop_map(|i| Workload::ALL[i])
+fn case_rng(property: &str, case: u64) -> Rng {
+    SeedSeq::new(1994).derive(property, case).rng()
 }
 
-fn any_cache() -> impl Strategy<Value = CacheConfig> {
-    (
-        prop_oneof![Just(1u64), Just(2), Just(4), Just(16)],
-        prop_oneof![Just(1u32), Just(2)],
-        any::<bool>(),
-    )
-        .prop_map(|(kb, ways, virt)| {
-            let c = CacheConfig::new(kb * 1024, 16, ways).unwrap();
-            if virt {
-                c.with_indexing(Indexing::Virtual)
-            } else {
-                c
-            }
-        })
+fn any_workload(rng: &mut Rng) -> Workload {
+    Workload::ALL[rng.gen_range(0..8usize)]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn any_cache(rng: &mut Rng) -> CacheConfig {
+    let kb = [1u64, 2, 4, 16][rng.gen_range(0..4usize)];
+    let ways = [1u32, 2][rng.gen_range(0..2usize)];
+    let c = CacheConfig::new(kb * 1024, 16, ways).unwrap();
+    if rng.gen() {
+        c.with_indexing(Indexing::Virtual)
+    } else {
+        c
+    }
+}
 
-    /// The engine is a pure function of its two seeds for any
-    /// workload/cache combination.
-    #[test]
-    fn trials_are_deterministic(
-        w in any_workload(),
-        cache in any_cache(),
-        base in any::<u64>(),
-        trial in any::<u64>(),
-    ) {
+/// The engine is a pure function of its two seeds for any
+/// workload/cache combination.
+#[test]
+fn trials_are_deterministic() {
+    for case in 0..CASES {
+        let mut rng = case_rng("trials_are_deterministic", case);
+        let (w, cache) = (any_workload(&mut rng), any_cache(&mut rng));
+        let (base, trial) = (rng.next_u64(), rng.next_u64());
         let cfg = SystemConfig::cache(w, cache).with_scale(TINY);
         let a = run_trial(&cfg, SeedSeq::new(base), SeedSeq::new(trial));
         let b = run_trial(&cfg, SeedSeq::new(base), SeedSeq::new(trial));
-        prop_assert_eq!(a, b);
+        assert_eq!(a, b, "case {case}: {w:?} {cache:?}");
     }
+}
 
-    /// Conservation: every component's misses are bounded by the
-    /// instructions it could have executed, and totals are internally
-    /// consistent.
-    #[test]
-    fn results_are_internally_consistent(
-        w in any_workload(),
-        cache in any_cache(),
-        seed in any::<u64>(),
-    ) {
+/// Conservation: every component's misses are bounded by the
+/// instructions it could have executed, and totals are internally
+/// consistent.
+#[test]
+fn results_are_internally_consistent() {
+    for case in 0..CASES {
+        let mut rng = case_rng("results_are_internally_consistent", case);
+        let (w, cache) = (any_workload(&mut rng), any_cache(&mut rng));
+        let seed = rng.next_u64();
         let cfg = SystemConfig::cache(w, cache).with_scale(TINY);
         let r = run_trial(&cfg, SeedSeq::new(seed), SeedSeq::new(seed ^ 1));
-        prop_assert!(r.total_misses() >= 0.0);
+        let at = format!("case {case}: {w:?} {cache:?}");
+        assert!(r.total_misses() >= 0.0, "{at}");
         // At one trap per line of 4 instructions, misses can't exceed
         // references... with generous slack for data structures.
-        prop_assert!(r.total_misses() <= r.instructions as f64);
-        prop_assert!(r.workload_cycles >= r.instructions); // CPI >= 1
-        prop_assert!(r.slowdown() >= 0.0);
-        prop_assert!(r.page_faults > 0, "demand paging must occur");
+        assert!(r.total_misses() <= r.instructions as f64, "{at}");
+        assert!(r.workload_cycles >= r.instructions, "{at}"); // CPI >= 1
+        assert!(r.slowdown() >= 0.0, "{at}");
+        assert!(r.page_faults > 0, "{at}: demand paging must occur");
         // At tiny instruction budgets not every fork is reached, but
         // task creation never exceeds the Table 4 count.
-        prop_assert!(r.tasks_created >= 1);
-        prop_assert!(r.tasks_created <= u64::from(w.spec().user_task_count));
+        assert!(r.tasks_created >= 1, "{at}");
+        assert!(
+            r.tasks_created <= u64::from(w.spec().user_task_count),
+            "{at}"
+        );
     }
+}
 
-    /// Measuring a subset of components never yields more misses than
-    /// measuring all of them (with identical seeds).
-    #[test]
-    fn subsets_never_exceed_all_activity(
-        w in any_workload(),
-        seed in any::<u64>(),
-    ) {
+/// Measuring a subset of components never yields more misses than
+/// measuring all of them (with identical seeds).
+#[test]
+fn subsets_never_exceed_all_activity() {
+    for case in 0..CASES {
+        let mut rng = case_rng("subsets_never_exceed_all_activity", case);
+        let w = any_workload(&mut rng);
+        let seed = rng.next_u64();
         let cache = CacheConfig::new(4096, 16, 1).unwrap();
         let all = run_trial(
             &SystemConfig::cache(w, cache).with_scale(TINY),
@@ -96,20 +96,21 @@ proptest! {
             SeedSeq::new(seed),
             SeedSeq::new(7),
         );
-        prop_assert!(user.total_misses() <= all.total_misses() + 1e-9);
+        assert!(
+            user.total_misses() <= all.total_misses() + 1e-9,
+            "case {case}: {w:?}"
+        );
     }
+}
 
-    /// Windowed monitoring partitions the raw miss count exactly.
-    #[test]
-    fn windows_partition_the_miss_count(seed in any::<u64>()) {
+/// Windowed monitoring partitions the raw miss count exactly.
+#[test]
+fn windows_partition_the_miss_count() {
+    for case in 0..CASES {
+        let seed = case_rng("windows_partition_the_miss_count", case).next_u64();
         let cache = CacheConfig::new(2048, 16, 1).unwrap();
         let cfg = SystemConfig::cache(Workload::Espresso, cache).with_scale(TINY);
-        let (r, windows) = run_trial_windowed(
-            &cfg,
-            SeedSeq::new(seed),
-            SeedSeq::new(3),
-            5_000,
-        );
+        let (r, windows) = run_trial_windowed(&cfg, SeedSeq::new(seed), SeedSeq::new(3), 5_000);
         let windowed: u64 = windows.iter().map(|w| w.misses).sum();
         // The final partial window is not emitted; the sum must be a
         // lower bound within one window of the total raw misses.
@@ -117,19 +118,21 @@ proptest! {
             .iter()
             .map(|&c| r.raw_misses(c))
             .sum();
-        prop_assert!(windowed <= raw);
-        let mut ends = windows.iter().map(|w| w.end_instructions);
+        assert!(windowed <= raw, "case {case}");
         let mut prev = 0;
-        for e in &mut ends {
-            prop_assert!(e > prev);
-            prev = e;
+        for w in &windows {
+            assert!(w.end_instructions > prev, "case {case}");
+            prev = w.end_instructions;
         }
     }
+}
 
-    /// Allocation policies are orthogonal to virtual-indexed results:
-    /// the allocator cannot affect a VA-indexed cache's miss count.
-    #[test]
-    fn allocator_is_invisible_to_virtual_indexing(seed in any::<u64>()) {
+/// Allocation policies are orthogonal to virtual-indexed results:
+/// the allocator cannot affect a VA-indexed cache's miss count.
+#[test]
+fn allocator_is_invisible_to_virtual_indexing() {
+    for case in 0..CASES {
+        let seed = case_rng("allocator_is_invisible_to_virtual_indexing", case).next_u64();
         let cache = CacheConfig::new(8192, 16, 1)
             .unwrap()
             .with_indexing(Indexing::Virtual);
@@ -146,7 +149,7 @@ proptest! {
         let random = run(AllocPolicy::Random);
         let seq = run(AllocPolicy::Sequential);
         let colored = run(AllocPolicy::Coloring(64));
-        prop_assert_eq!(random, seq);
-        prop_assert_eq!(seq, colored);
+        assert_eq!(random, seq, "case {case}");
+        assert_eq!(seq, colored, "case {case}");
     }
 }

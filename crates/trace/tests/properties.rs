@@ -1,75 +1,115 @@
-// Property-based suites need the external `proptest` crate, which the
-// offline build intentionally omits. Enable with
-// `--features proptest` after restoring the dev-dependency (see ci.sh).
-#![cfg(feature = "proptest")]
+//! Randomized properties of the trace-driven baseline. Each case draws
+//! its inputs from its own SplitMix64 stream, a pure function of the
+//! property's name and the case index, so a failing case replays
+//! alone. Dependency-free; runs with the default `cargo test`.
 
-//! Property-based tests for the trace-driven baseline.
+use std::ops::Range;
 
-use proptest::prelude::*;
 use tapeworm_mem::VirtAddr;
+use tapeworm_stats::{Rng, SeedSeq};
 use tapeworm_trace::{Cache2000, Cache2000Config, StackDistance, Trace, TracePolicy};
 
-proptest! {
-    /// The delta-varint encoding round-trips arbitrary address
-    /// sequences.
-    #[test]
-    fn trace_encoding_roundtrips(addrs in proptest::collection::vec(any::<u64>(), 0..300)) {
-        let t: Trace = addrs.iter().map(|&a| VirtAddr::new(a)).collect();
-        let bytes = t.to_bytes();
-        prop_assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
-    }
+const CASES: u64 = 256;
 
-    /// Cache2000 conservation: hits + misses == references, and the
-    /// miss count never exceeds references nor falls below distinct
-    /// lines touched when the cache is large enough.
-    #[test]
-    fn cache2000_conservation(
-        addrs in proptest::collection::vec(0u64..16_384, 1..500),
-        kb in prop_oneof![Just(1u64), Just(4), Just(32)],
-    ) {
+fn case_rng(property: &str, case: u64) -> Rng {
+    SeedSeq::new(1994).derive(property, case).rng()
+}
+
+/// A reference stream: `len` addresses, each uniform below `below`.
+fn addrs(rng: &mut Rng, below: u64, len: Range<usize>) -> Vec<u64> {
+    let n = rng.gen_range(len);
+    (0..n).map(|_| rng.gen_range(0..below)).collect()
+}
+
+fn vas(addrs: &[u64]) -> impl Iterator<Item = VirtAddr> + '_ {
+    addrs.iter().map(|&a| VirtAddr::new(a))
+}
+
+/// The delta-varint encoding round-trips arbitrary address
+/// sequences, the extreme deltas of a once-failing stream first.
+#[test]
+fn trace_encoding_roundtrips() {
+    let pinned = vec![1u64 << 63, 0];
+    let random = (0..CASES).map(|case| {
+        let mut rng = case_rng("trace_encoding_roundtrips", case);
+        (0..rng.gen_range(0..300usize))
+            .map(|_| rng.next_u64())
+            .collect()
+    });
+    for addrs in std::iter::once(pinned).chain(random) {
+        let t: Trace = vas(&addrs).collect();
+        let bytes = t.to_bytes();
+        assert_eq!(Trace::from_bytes(&bytes).unwrap(), t, "{addrs:?}");
+    }
+}
+
+/// Cache2000 conservation: hits + misses == references, and the
+/// miss count never exceeds references nor falls below distinct
+/// lines touched when the cache is large enough.
+#[test]
+fn cache2000_conservation() {
+    for case in 0..CASES {
+        let mut rng = case_rng("cache2000_conservation", case);
+        let addrs = addrs(&mut rng, 16_384, 1..500);
+        let kb = [1u64, 4, 32][rng.gen_range(0..3usize)];
         let mut sim = Cache2000::new(Cache2000Config::with_geometry(kb * 1024, 16, 1));
-        sim.run(addrs.iter().map(|&a| VirtAddr::new(a)));
-        prop_assert_eq!(sim.hits() + sim.misses(), sim.references());
+        sim.run(vas(&addrs));
+        assert_eq!(sim.hits() + sim.misses(), sim.references(), "case {case}");
         let mut lines: Vec<u64> = addrs.iter().map(|a| a / 16).collect();
         lines.sort_unstable();
         lines.dedup();
-        prop_assert!(sim.misses() >= lines.len() as u64);
+        assert!(sim.misses() >= lines.len() as u64, "case {case}");
         if kb == 32 {
             // 32K holds the whole 16K address range: cold misses only.
-            prop_assert_eq!(sim.misses(), lines.len() as u64);
+            assert_eq!(sim.misses(), lines.len() as u64, "case {case}");
         }
     }
+}
 
-    /// Stack inclusion: miss counts are monotone non-increasing in
-    /// capacity for any reference string, and match a fully
-    /// associative LRU Cache2000 at any capacity.
-    #[test]
-    fn stack_distance_matches_lru(
-        addrs in proptest::collection::vec(0u64..4_096, 1..300),
-        cap_pow in 1u32..7,
-    ) {
+/// Stack inclusion: miss counts are monotone non-increasing in
+/// capacity for any reference string, and match a fully
+/// associative LRU Cache2000 at any capacity.
+#[test]
+fn stack_distance_matches_lru() {
+    for case in 0..CASES {
+        let mut rng = case_rng("stack_distance_matches_lru", case);
+        let addrs = addrs(&mut rng, 4_096, 1..300);
+        let cap = 1usize << rng.gen_range(1..7u32);
         let mut stack = StackDistance::new(16);
-        stack.run(addrs.iter().map(|&a| VirtAddr::new(a)));
-        let cap = 1usize << cap_pow;
+        stack.run(vas(&addrs));
         let mut cfg = Cache2000Config::with_geometry(16 * cap as u64, 16, cap as u32);
         cfg.policy = TracePolicy::Lru;
         let mut lru = Cache2000::new(cfg);
-        lru.run(addrs.iter().map(|&a| VirtAddr::new(a)));
-        prop_assert_eq!(stack.misses_for_capacity(cap), lru.misses());
-        prop_assert!(stack.misses_for_capacity(cap * 2) <= stack.misses_for_capacity(cap));
+        lru.run(vas(&addrs));
+        assert_eq!(
+            stack.misses_for_capacity(cap),
+            lru.misses(),
+            "case {case}: {cap} lines"
+        );
+        assert!(
+            stack.misses_for_capacity(cap * 2) <= stack.misses_for_capacity(cap),
+            "case {case}: {cap} lines"
+        );
     }
+}
 
-    /// LRU never does worse than FIFO... is false in general (Belady),
-    /// but both policies agree exactly on direct-mapped caches.
-    #[test]
-    fn policies_agree_when_direct_mapped(addrs in proptest::collection::vec(0u64..8_192, 1..300)) {
+/// LRU never does worse than FIFO... is false in general (Belady),
+/// but both policies agree exactly on direct-mapped caches.
+#[test]
+fn policies_agree_when_direct_mapped() {
+    for case in 0..CASES {
+        let addrs = addrs(
+            &mut case_rng("policies_agree_when_direct_mapped", case),
+            8_192,
+            1..300,
+        );
         let run = |policy| {
             let mut cfg = Cache2000Config::with_geometry(1024, 16, 1);
             cfg.policy = policy;
             let mut sim = Cache2000::new(cfg);
-            sim.run(addrs.iter().map(|&a| VirtAddr::new(a)));
+            sim.run(vas(&addrs));
             sim.misses()
         };
-        prop_assert_eq!(run(TracePolicy::Lru), run(TracePolicy::Fifo));
+        assert_eq!(run(TracePolicy::Lru), run(TracePolicy::Fifo), "case {case}");
     }
 }

@@ -15,7 +15,7 @@
 use tapeworm::core::{CacheConfig, TlbSimConfig};
 use tapeworm::obs::MetricsReport;
 use tapeworm::sim::{
-    run_sweep, run_sweep_resilient, run_trial, run_trial_observed, run_trial_windowed,
+    fnv1a, run_sweep, run_sweep_resilient, run_trial, run_trial_observed, run_trial_windowed,
     CheckpointConfig, ComponentSet, FaultPlan, ObsConfig, SweepOptions, SystemConfig, TrialResult,
     TrialSummary, WindowSample,
 };
@@ -130,15 +130,6 @@ fn derivation_separates_streams() {
         base.derive("a", 0).derive("b", 0),
         base.derive("b", 0).derive("a", 0)
     );
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
 }
 
 fn digest(result: &TrialResult, windows: &[WindowSample]) -> u64 {
