@@ -55,6 +55,10 @@
 #      any workspace Cargo.toml and no `cfg(feature` under crates/,
 #      src/ or tests/, so `cargo test --workspace` with no flags builds
 #      and runs every line of Rust.
+#   9c. One attempt loop: `backoff_for(` appears in no `.rs` file under
+#      crates/, src/ or tests/ except crates/stats/src/trials.rs, whose
+#      `attempt_trial` is the retry loop every trial runs through (the
+#      scheduler, the planner's pruned pass, the subprocess backend).
 #  10. Sweep-planner differential gate: specs/ci_planner.toml (pruned)
 #      and specs/ci_planner_full.toml (the identical grid, planner off)
 #      drained through the service. The pruned run must actually save
@@ -337,6 +341,14 @@ if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
 fi
 if grep -rn 'cfg(feature' crates src tests; then
   echo "ci.sh: sources gate code behind a cargo feature (above)" >&2; exit 1;
+fi
+
+echo "=== tier 2: one attempt loop ==="
+# Retry and backoff accounting lives in tapeworm_stats::trials; another
+# caller of backoff_for is a hand-copied retry loop that can drift.
+if grep -rn --include='*.rs' 'backoff_for(' crates src tests \
+  | grep -v '^crates/stats/src/trials\.rs:'; then
+  echo "ci.sh: backoff_for( outside crates/stats/src/trials.rs (above)" >&2; exit 1;
 fi
 
 echo "=== tier 2: sweep-planner differential gate ==="

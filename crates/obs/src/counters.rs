@@ -38,7 +38,8 @@ pub enum CounterId {
     TrialPanics,
     /// Trials that exhausted their retry budget.
     TrialsFailed,
-    /// Workers respawned after a panic poisoned one.
+    /// Worker states discarded (re-inited, or a worker process
+    /// respawned) after a contained panic.
     WorkersRespawned,
     /// Clock ticks that fired but were discarded because more than the
     /// deliverable bound arrived in one interval (the previously-silent

@@ -13,11 +13,12 @@
 //! * [`SubprocessBackend`] — a worker subprocess (`tapeworm-server
 //!   worker`) driven over the length-prefixed JSON protocol in
 //!   [`wire`](crate::wire). The server resolves the identical plan on
-//!   both sides (handshake-verified by fingerprint), requests one cell
-//!   at a time, and mirrors the scheduler's fault semantics: typed
-//!   errors retry with the engine's deterministic capped backoff
-//!   accounting, worker death (EOF, I/O error, crash) counts as a
-//!   contained panic and respawns the worker, and the committed prefix
+//!   both sides (handshake-verified by fingerprint) and requests one
+//!   cell at a time through the scheduler's own attempt loop,
+//!   [`attempt_trial`]: typed errors retry with the engine's
+//!   deterministic capped backoff, worker death (EOF, I/O error,
+//!   crash) is the contained-panic kind and respawns the worker, so the
+//!   [`FaultStats`] equal the in-process engine's. The committed prefix
 //!   checkpoints through `tapeworm-checkpoint-v1` at the same cadence.
 
 use std::fmt;
@@ -28,8 +29,9 @@ use std::process::{Child, Command, Stdio};
 use tapeworm_sim::{
     decode_outcome, encode_outcome, load_outcomes, run_sweep_cell, run_sweep_resilient_observed,
     save_outcomes, CheckpointConfig, FailureKind, FaultStats, ObsConfig, RetryPolicy, SweepOptions,
-    TrialFailure, TrialMetrics, TrialOutcome, TrialResult,
+    TrialMetrics, TrialOutcome, TrialResult,
 };
+use tapeworm_stats::trials::attempt_trial;
 
 use crate::spec::SweepPlan;
 use crate::wire::{field, field_usize, hex_decode, hex_encode, read_frame, write_frame};
@@ -310,7 +312,6 @@ impl WorkerBackend for SubprocessBackend {
 
     fn run(&self, plan: &SweepPlan, opts: &BackendOptions) -> Result<BackendRun, BackendError> {
         let total = plan.total();
-        let max_attempts = opts.retry.max_attempts.max(1);
         let mut stats = FaultStats::default();
 
         // Resume the committed prefix, exactly like the engine: the
@@ -324,49 +325,27 @@ impl WorkerBackend for SubprocessBackend {
         outcomes.truncate(total);
         let resumed = outcomes.len();
 
-        let mut worker = self.spawn(plan, opts)?;
+        let mut worker = Ok(self.spawn(plan, opts)?);
         for index in resumed..total {
-            // Mirror the scheduler's per-trial retry loop: typed errors
-            // retry with deterministic capped backoff accounting; a
-            // dead worker counts as a contained panic and is respawned.
-            let mut attempt: u32 = 0;
-            let mut typed: u32 = 0;
-            let mut backoff: u64 = 0;
-            let outcome = loop {
-                match Self::request_cell(&mut worker, index, attempt) {
-                    Ok(Ok(outcome)) => break Ok(outcome),
-                    Ok(Err(msg)) => {
-                        typed += 1;
-                        if attempt + 1 >= max_attempts {
-                            break Err(FailureKind::Error(msg));
-                        }
-                    }
+            // A dead worker is the panic kind and is respawned at once.
+            // A failed respawn fails the trial's remaining attempts and
+            // then aborts the job with the spawn error.
+            let (outcome, delta) = attempt_trial(opts.retry, index, |attempt| {
+                let Ok(live) = worker.as_mut() else {
+                    return Err(FailureKind::Panic("no worker process".to_string()));
+                };
+                match Self::request_cell(live, index, attempt) {
+                    Ok(reply) => reply.map_err(FailureKind::Error),
                     Err(death) => {
-                        stats.panics += 1;
-                        stats.workers_respawned += 1;
-                        drop(worker);
-                        worker = self.spawn(plan, opts)?;
-                        if attempt + 1 >= max_attempts {
-                            break Err(FailureKind::Panic(format!("worker died: {death}")));
-                        }
+                        worker = self.spawn(plan, opts);
+                        Err(FailureKind::Panic(format!("worker died: {death}")))
                     }
-                }
-                backoff += opts.retry.backoff_for(attempt);
-                attempt += 1;
-            };
-            stats.retries += u64::from(attempt);
-            stats.typed_failures += u64::from(typed);
-            stats.backoff_units += backoff;
-            stats.trials_computed += 1;
-            let outcome = outcome.map_err(|kind| {
-                stats.failed_trials += 1;
-                TrialFailure {
-                    index,
-                    attempts: attempt + 1,
-                    backoff_units: backoff,
-                    kind,
                 }
             });
+            if let Err(e) = worker {
+                return Err(e);
+            }
+            stats.merge(&delta);
             outcomes.push(outcome);
             if let Some(path) = &opts.checkpoint {
                 let committed = outcomes.len();
@@ -378,7 +357,7 @@ impl WorkerBackend for SubprocessBackend {
                 }
             }
         }
-        worker.shutdown();
+        worker?.shutdown();
         if let Some(path) = &opts.checkpoint {
             let _ = std::fs::remove_file(path);
         }
@@ -397,9 +376,9 @@ impl WorkerBackend for SubprocessBackend {
 /// Deterministic fault injection (for the service test suite only):
 /// [`ENV_FAIL_INDEX`] makes the worker return a typed error for that
 /// cell on attempt 0; [`ENV_EXIT_INDEX`] makes it exit mid-protocol
-/// instead, simulating a crash. Both trigger once per process, so a
-/// respawned worker completes the cell — mirroring the transient faults
-/// the engine's chaos harness injects.
+/// instead, simulating a crash. Both trigger on attempt 0 only, so the
+/// retry completes the cell — the same transient faults the engine's
+/// `FaultPlan` injects in process.
 ///
 /// # Errors
 ///

@@ -15,9 +15,9 @@
 //!   prefix.
 //! * [`WorkerBackend`] — pluggable execution: [`InProcessBackend`]
 //!   (the engine's worker pool) and [`SubprocessBackend`] (a worker
-//!   process driven over a length-prefixed JSON stdio protocol, with
-//!   the scheduler's typed-error retry, deterministic capped backoff
-//!   and worker-respawn semantics mirrored at the process level).
+//!   process driven over a length-prefixed JSON stdio protocol; each
+//!   cell runs through the scheduler's own attempt loop, with a dead
+//!   worker process as the contained-panic kind).
 //! * [`SweepService`] — the job lifecycle: fingerprint-cache lookup,
 //!   backend dispatch, the engine-committer fold, the JSONL run sink,
 //!   and the deterministic service digest that is bit-identical across

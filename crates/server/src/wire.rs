@@ -21,8 +21,9 @@
 //! ```
 //!
 //! Transport loss (EOF, short frame, I/O error) is the worker-death
-//! signal; the backend respawns and replays, mirroring the in-process
-//! scheduler's panic containment.
+//! signal. The backend's attempt loop (the scheduler's
+//! `attempt_trial`) counts it as a contained panic, respawns the
+//! worker and retries the cell.
 
 use std::io::{self, Read, Write};
 
@@ -32,7 +33,7 @@ pub use tapeworm_sim::codec::{field, field_usize, hex_decode, hex_encode};
 pub const WIRE_PROTOCOL: &str = "tapeworm-worker-wire-v1";
 
 /// Upper bound on a frame's payload; anything larger is corruption.
-const MAX_FRAME: u32 = 64 * 1024 * 1024;
+pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Writes one frame and flushes.
 ///
@@ -55,15 +56,21 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; a mid-frame EOF, oversized length, or
-/// non-UTF-8 payload is an error, not a clean close.
+/// Propagates I/O failures; a mid-frame EOF (in the length prefix
+/// too), oversized length, or non-UTF-8 payload is an error, not a
+/// clean close.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
     let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let first = loop {
+        match r.read(&mut len_bytes[..1]) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            read => break read?,
+        }
+    };
+    if first == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut len_bytes[1..])?;
     let len = u32::from_be_bytes(len_bytes);
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -76,29 +83,4 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frames_round_trip_and_eof_is_clean_at_boundaries() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"op\": \"plan\"}").unwrap();
-        write_frame(&mut buf, "{\"op\": \"run\", \"index\": 3}").unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), "{\"op\": \"plan\"}");
-        assert_eq!(
-            read_frame(&mut r).unwrap().unwrap(),
-            "{\"op\": \"run\", \"index\": 3}"
-        );
-        assert_eq!(read_frame(&mut r).unwrap(), None);
-        // A truncated frame is an error, not a clean close.
-        let mut short = &buf[..6];
-        assert!(read_frame(&mut short).is_err());
-        // An absurd length is rejected before allocation.
-        let mut bad = &[0xff, 0xff, 0xff, 0xff][..];
-        assert!(read_frame(&mut bad).is_err());
-    }
 }

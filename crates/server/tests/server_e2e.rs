@@ -10,10 +10,10 @@ use std::fs;
 use std::path::PathBuf;
 
 use tapeworm_server::{
-    digest_outcomes, BackendOptions, InProcessBackend, ServiceOptions, SubprocessBackend,
-    SweepPlan, SweepService, WorkerBackend, ENV_EXIT_INDEX, ENV_FAIL_INDEX,
+    digest_outcomes, BackendOptions, FaultStats, InProcessBackend, ServiceOptions,
+    SubprocessBackend, SweepPlan, SweepService, WorkerBackend, ENV_EXIT_INDEX, ENV_FAIL_INDEX,
 };
-use tapeworm_sim::{run_sweep_resilient_observed, save_outcomes, SweepOptions};
+use tapeworm_sim::{run_sweep_resilient_observed, save_outcomes, FaultPlan, SweepOptions};
 
 /// The pinned digest of `specs/ci_smoke.toml`. Also pinned in the root
 /// `tests/server_e2e.rs` and in ci.sh; move all three together, and
@@ -41,6 +41,23 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
+/// The direct engine under `faults`: its whole fault accounting and
+/// its outcome digest. The service must give both exactly, fault for
+/// fault, since both backends run the scheduler's attempt loop.
+fn engine_under(faults: FaultPlan) -> (FaultStats, u64) {
+    let plan = SweepPlan::resolve(&ci_smoke_spec()).unwrap();
+    let options = SweepOptions::default().with_faults(faults);
+    let mut outcomes = Vec::new();
+    let run = run_sweep_resilient_observed(
+        plan.configs(),
+        plan.trials(),
+        plan.base(),
+        &options,
+        |_, o| outcomes.push(o.clone()),
+    );
+    (*run.fault_stats(), digest_outcomes(&outcomes))
+}
+
 fn run_once(tag: &str, backend: &dyn WorkerBackend, threads: usize) -> tapeworm_server::JobReport {
     let svc = SweepService::open(
         temp_root(tag),
@@ -66,19 +83,12 @@ fn run_once(tag: &str, backend: &dyn WorkerBackend, threads: usize) -> tapeworm_
 fn digest_is_golden_across_backends_and_thread_counts() {
     let plan = SweepPlan::resolve(&ci_smoke_spec()).unwrap();
     // Direct engine reference, outside the service entirely.
-    let mut outcomes = Vec::new();
-    run_sweep_resilient_observed(
-        plan.configs(),
-        plan.trials(),
-        plan.base(),
-        &SweepOptions::default(),
-        |_, o| outcomes.push(o.clone()),
-    );
+    let (stats, digest) = engine_under(FaultPlan::new());
     assert_eq!(
-        digest_outcomes(&outcomes),
-        CI_SMOKE_GOLDEN_DIGEST,
+        digest, CI_SMOKE_GOLDEN_DIGEST,
         "direct engine digest moved — intentional output change?"
     );
+    assert!(stats.is_clean());
 
     for threads in [1usize, 4, 8] {
         let report = run_once(&format!("inproc-{threads}"), &InProcessBackend, threads);
@@ -112,6 +122,8 @@ fn injected_worker_fault_retries_without_moving_the_digest() {
     assert_eq!(report.stats.retries, 1);
     assert!(report.stats.backoff_units > 0);
     assert_eq!(report.stats.panics, 0);
+    let engine = engine_under(FaultPlan::new().with_budget_exhaustion(5, 0));
+    assert_eq!((report.stats, report.digest), engine);
 }
 
 /// A worker that dies mid-protocol: the service counts a contained
@@ -125,6 +137,8 @@ fn injected_worker_crash_respawns_without_moving_the_digest() {
     assert_eq!(report.stats.panics, 1);
     assert_eq!(report.stats.workers_respawned, 1);
     assert_eq!(report.stats.retries, 1);
+    let engine = engine_under(FaultPlan::new().with_panic(7, 0));
+    assert_eq!((report.stats, report.digest), engine);
 }
 
 /// A committed prefix left by a dead worker is resumed, not

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] tells the sweep engine which `(trial, attempt)`
 //! cells to sabotage and how, so the fault-tolerance machinery
-//! (retry, worker respawn, checkpoint write recovery) can be driven
+//! (retry, worker-state re-init, checkpoint write recovery) can be driven
 //! reproducibly from tests and from the `chaos_sweep` gate binary.
 //! Faults are injected *around* the trial closure — the simulator
 //! itself is never touched — so a retried attempt recomputes exactly

@@ -18,10 +18,11 @@
 //!    ground truth.
 //! 2. **Adaptive trial sampling** — inside each simulated cell, trials
 //!    run in deterministic batches with the engine's exact
-//!    SplitMix64-seeded trial order (`run_cell_reusing`, bit-identical
-//!    to what a full sweep commits at the same index). After each
-//!    batch the running Student-t confidence interval of the miss
-//!    count is computed ([`tapeworm_stats::ci`]); when its relative
+//!    SplitMix64-seeded trial order and cell function
+//!    (`run_cell_attempt` under the scheduler's `attempt_trial` loop,
+//!    bit-identical to what a full sweep commits at the same index).
+//!    After each batch the running Student-t confidence interval of the
+//!    miss count is computed ([`tapeworm_stats::ci`]); when its relative
 //!    half-width closes below [`PlannerConfig::ci_bound`] the cell
 //!    stops early and reports the interval it stopped at. Because the
 //!    per-trial instruction stream is trial-invariant, the miss-count
@@ -51,14 +52,14 @@
 use tapeworm_core::Indexing;
 use tapeworm_obs::{CounterId, Counters};
 use tapeworm_stats::ci::{mean_ci, MeanCi};
-use tapeworm_stats::trials::{FailureKind, FaultStats, TrialFailure};
+use tapeworm_stats::trials::{attempt_trial_with_state, FaultStats};
 use tapeworm_stats::{OnlineStats, SeedSeq};
 
 use crate::checkpoint::{sweep_fingerprint, TrialOutcome};
 use crate::config::{SimModel, SystemConfig};
 use crate::kessler;
 use crate::sweep::{
-    fold_outcomes, run_cell_reusing, run_sweep_resilient_observed, FailedTrial, SweepOptions,
+    fold_outcomes, run_cell_attempt, run_sweep_resilient_observed, FailedTrial, SweepOptions,
     TrialSummary,
 };
 use crate::system::TrialScratch;
@@ -465,10 +466,12 @@ fn plan_group(configs: &[SystemConfig], lo: usize, hi: usize, decisions: &mut [D
 /// for every thread count. [`PlanMode::Pruned`] simulates the planned
 /// subset with adaptive trial sampling and interpolates the rest.
 ///
-/// In pruned mode `options.threads`, `options.faults`, and
-/// `options.checkpoint` are not consulted (planning is single-threaded
-/// and uncheckpointed by design); `options.retry` and `options.obs`
-/// apply to every simulated trial.
+/// In pruned mode `options.threads` and `options.checkpoint` are not
+/// consulted (planning is single-threaded and uncheckpointed by
+/// design). Every simulated trial runs the full sweep's cell function
+/// (`options.faults`, then the trial under `options.obs`) through the
+/// scheduler's attempt loop under `options.retry`, so a panicking trial
+/// is contained and retried exactly as in full mode.
 ///
 /// # Panics
 ///
@@ -531,7 +534,7 @@ fn run_pruned(
     let mut failed: Vec<FailedTrial> = Vec::new();
     let mut stats = FaultStats::default();
     let mut counters = Counters::new();
-    let mut scratch = TrialScratch::new();
+    let mut scratch = None;
     // Pass 1: simulate the planned cells, adaptively.
     let mut simulated: Vec<Option<PlannedCell>> = vec![None; configs.len()];
     for (c, decision) in decisions.iter().enumerate() {
@@ -544,26 +547,18 @@ fn run_pruned(
         let mut t = 0;
         while t < trials {
             let index = c * trials + t;
-            let outcome = run_trial_with_retry(
-                configs,
-                trials,
-                base,
+            let (outcome, delta) = attempt_trial_with_state(
+                options.retry,
                 index,
-                options,
                 &mut scratch,
-                &mut stats,
+                TrialScratch::new,
+                |scratch, i, attempt| {
+                    run_cell_attempt(configs, trials, base, i, attempt, options, scratch)
+                },
             );
-            stats.trials_computed += 1;
-            match &outcome {
-                Ok((result, _)) => miss_acc.push(result.total_misses()),
-                Err(failure) => {
-                    stats.failed_trials += 1;
-                    failed.push(FailedTrial {
-                        config: c,
-                        trial: t,
-                        failure: failure.clone(),
-                    });
-                }
+            stats.merge(&delta);
+            if let Ok((result, _)) = &outcome {
+                miss_acc.push(result.total_misses());
             }
             outcomes.push((index, outcome.clone()));
             cell_outcomes.push(outcome);
@@ -588,7 +583,10 @@ fn run_pruned(
         counters.inc(CounterId::CellsSimulated);
         // Fold through the engine's own committer so the summary shape
         // is identical to a full sweep's (over the trials that ran).
-        let (cells, _) = fold_outcomes(t, cell_outcomes);
+        let (cells, cell_failed) = fold_outcomes(t, cell_outcomes);
+        for f in cell_failed {
+            failed.push(FailedTrial { config: c, ..f });
+        }
         simulated[c] = Some(PlannedCell::Simulated {
             summary: cells.into_iter().next().expect("one cell per fold"),
             trials_run: t,
@@ -627,43 +625,6 @@ fn run_pruned(
         failed,
         stats,
         counters,
-    }
-}
-
-/// One trial with the retry policy applied in place — the same typed
-/// retry accounting the scheduler keeps, minus panic containment
-/// (pruned planning runs in the caller's thread).
-fn run_trial_with_retry(
-    configs: &[SystemConfig],
-    trials: usize,
-    base: SeedSeq,
-    index: usize,
-    options: &SweepOptions,
-    scratch: &mut TrialScratch,
-    stats: &mut FaultStats,
-) -> TrialOutcome {
-    let mut attempt: u32 = 0;
-    let mut backoff: u64 = 0;
-    loop {
-        match run_cell_reusing(configs, trials, base, index, options.obs, scratch) {
-            Ok(v) => return Ok(v),
-            Err(message) => {
-                stats.typed_failures += 1;
-                attempt += 1;
-                if attempt >= options.retry.max_attempts.max(1) {
-                    return Err(TrialFailure {
-                        index,
-                        attempts: attempt,
-                        backoff_units: backoff,
-                        kind: FailureKind::Error(message),
-                    });
-                }
-                stats.retries += 1;
-                let units = options.retry.backoff_for(attempt - 1);
-                stats.backoff_units += units;
-                backoff += units;
-            }
-        }
     }
 }
 

@@ -342,22 +342,32 @@ impl<'a> Fold<'a> {
     }
 }
 
-/// Runs one `(config, trial)` cell of a sweep exactly as the resilient
-/// engine would, reusing the caller's scratch. Shared with the planner
-/// (`crate::planner`), whose simulated cells must be bit-identical to
-/// the cells a full sweep commits.
-pub(crate) fn run_cell_reusing(
+/// Runs attempt `attempt` of cell `index` exactly as the resilient
+/// engine does: `options.faults` first (an injected panic or typed
+/// watchdog failure), then the trial on the caller's scratch. The
+/// planner's pruned pass runs its simulated cells through this too.
+pub(crate) fn run_cell_attempt(
     configs: &[SystemConfig],
     trials: usize,
     base: SeedSeq,
     index: usize,
-    obs: ObsConfig,
+    attempt: u32,
+    options: &SweepOptions,
     scratch: &mut TrialScratch,
 ) -> Result<(TrialResult, TrialMetrics), String> {
+    if options.faults.should_panic(index, attempt) {
+        panic!("injected fault: panic on trial {index} attempt {attempt}");
+    }
+    if options.faults.should_exhaust(index, attempt) {
+        return Err(format!(
+            "injected fault: trial {index} attempt {attempt} \
+             instruction budget exhausted by the watchdog"
+        ));
+    }
     let c = index / trials;
     let t = (index % trials) as u64;
     let trial = base.derive("sweep-config", c as u64).derive("trial", t);
-    try_run_trial_observed_reusing(&configs[c], base, trial, obs, scratch)
+    try_run_trial_observed_reusing(&configs[c], base, trial, options.obs, scratch)
         .map_err(|e| e.to_string())
 }
 
@@ -384,8 +394,8 @@ pub fn run_sweep_cell(
 ) -> Result<(TrialResult, TrialMetrics), String> {
     assert!(trials > 0, "a sweep needs at least one trial per config");
     assert!(index < configs.len() * trials, "cell index out of range");
-    let mut scratch = TrialScratch::new();
-    run_cell_reusing(configs, trials, base, index, obs, &mut scratch)
+    let (options, mut scratch) = (SweepOptions::default().with_obs(obs), TrialScratch::new());
+    run_cell_attempt(configs, trials, base, index, 0, &options, &mut scratch)
 }
 
 /// Folds per-trial outcomes (index order `0..n`) into per-configuration
@@ -415,11 +425,11 @@ pub fn fold_outcomes(
 ///
 /// Fault tolerance: each `(config, trial)` cell is attempted up to
 /// `options.retry.max_attempts` times; panics and typed errors are
-/// contained by the scheduler (a panicked worker is respawned) and the
-/// sweep completes with [`SweepOutcome::failed`] listing any trial that
-/// exhausted the budget. Retried attempts recompute a pure function of
-/// the trial index, so committed values are bit-identical to a
-/// fault-free run's for every thread count.
+/// contained by the scheduler (a panicked worker re-inits its scratch
+/// and retries) and the sweep completes with [`SweepOutcome::failed`]
+/// listing any trial that exhausted the budget. Retried attempts
+/// recompute a pure function of the trial index, so committed values
+/// are bit-identical to a fault-free run's for every thread count.
 ///
 /// Checkpointing: with `options.checkpoint` set, the committed prefix
 /// is rewritten atomically every `interval` commits; with `resume` the
@@ -511,17 +521,7 @@ pub fn run_sweep_resilient_observed(
         // sweep output is unchanged.
         TrialScratch::new,
         |scratch, k, attempt| {
-            let i = k + offset;
-            if options.faults.should_panic(i, attempt) {
-                panic!("injected fault: panic on trial {i} attempt {attempt}");
-            }
-            if options.faults.should_exhaust(i, attempt) {
-                return Err(format!(
-                    "injected fault: trial {i} attempt {attempt} \
-                     instruction budget exhausted by the watchdog"
-                ));
-            }
-            run_cell_reusing(configs, trials, base, i, options.obs, scratch)
+            run_cell_attempt(configs, trials, base, k + offset, attempt, options, scratch)
         },
         |k, outcome| {
             let index = k + offset;

@@ -9,13 +9,19 @@
 //! cells out over a `std::thread` worker pool and a **committer** reorders
 //! completions back into index order, so results are bit-identical
 //! regardless of thread count. `threads == 1` takes a plain serial loop
-//! with no thread, channel or heap machinery at all.
+//! with no thread, channel or reorder buffer at all.
+//!
+//! Every trial, in this pool or outside it (the planner's pruned pass,
+//! the server's subprocess backend), goes through one attempt loop,
+//! [`attempt_trial`]: retry a typed error or a contained panic within a
+//! [`RetryPolicy`], charge virtual backoff, and end in a value or a
+//! [`TrialFailure`] plus that trial's [`FaultStats`] delta.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 
 use crate::{EmptySampleError, SeedSeq, Summary};
 
@@ -36,35 +42,6 @@ impl TrialSet {
     /// Summary statistics over the trials.
     pub fn summary(&self) -> &Summary {
         &self.summary
-    }
-}
-
-/// A completed job travelling from a worker to the committer, ordered so
-/// a min-heap (`BinaryHeap<Completed<T>>` with reversed `Ord`) yields the
-/// lowest outstanding index first.
-struct Completed<T> {
-    index: usize,
-    value: T,
-}
-
-impl<T> PartialEq for Completed<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.index == other.index
-    }
-}
-
-impl<T> Eq for Completed<T> {}
-
-impl<T> PartialOrd for Completed<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Completed<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest index.
-        other.index.cmp(&self.index)
     }
 }
 
@@ -172,10 +149,9 @@ pub struct FaultStats {
     pub typed_failures: u64,
     /// Trials that exhausted their retry budget.
     pub failed_trials: u64,
-    /// Workers respawned after a panic poisoned one. A panic always
-    /// poisons its worker, so this equals `panics` by construction
-    /// (the serial path re-enters the loop in place and counts the
-    /// same).
+    /// Worker states discarded after a contained panic: the worker
+    /// re-inits its state in place (a subprocess backend respawns its
+    /// dead worker process). Equals `panics` by construction.
     pub workers_respawned: u64,
     /// Total deterministic backoff units scheduled (virtual, never
     /// slept).
@@ -221,31 +197,6 @@ impl FaultStats {
     }
 }
 
-/// Per-trial progress carried across retries: the attempt number being
-/// run, typed failures so far and backoff accumulated so far.
-#[derive(Debug, Clone, Copy, Default)]
-struct Progress {
-    attempt: u32,
-    typed_failures: u32,
-    backoff: u64,
-}
-
-/// What a worker reports to the committer.
-enum Report<T> {
-    /// Trial reached a terminal outcome (value or exhausted retries).
-    Done {
-        index: usize,
-        outcome: Result<T, FailureKind>,
-        progress: Progress,
-    },
-    /// The trial panicked; the sending worker has exited (poisoned).
-    Panicked {
-        index: usize,
-        progress: Progress,
-        message: String,
-    },
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
@@ -254,6 +205,81 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
+}
+
+/// Runs trial `index` to a terminal outcome under `retry`: the one
+/// attempt loop every trial goes through, in process or out.
+///
+/// `attempt(a)` runs attempt `a` (0-based). `Err(FailureKind::Error)`
+/// is a typed failure; `Err(FailureKind::Panic)` is a contained panic,
+/// as is a panic unwinding out of `attempt` (caught here). A panic
+/// loses the attempt's worker state and counts once in
+/// [`FaultStats::workers_respawned`]. A failed attempt with
+/// budget left charges `retry.backoff_for(a)` virtual units and
+/// retries; the last becomes a [`TrialFailure`]. Returns the outcome
+/// and this trial's [`FaultStats`] delta, for the caller to merge.
+pub fn attempt_trial<T>(
+    retry: RetryPolicy,
+    index: usize,
+    mut attempt: impl FnMut(u32) -> Result<T, FailureKind>,
+) -> (Result<T, TrialFailure>, FaultStats) {
+    let max_attempts = retry.max_attempts.max(1);
+    let mut stats = FaultStats {
+        trials_computed: 1,
+        ..FaultStats::default()
+    };
+    let mut n: u32 = 0;
+    let outcome = loop {
+        let kind = match catch_unwind(AssertUnwindSafe(|| attempt(n))) {
+            Ok(Ok(value)) => break Ok(value),
+            Ok(Err(kind)) => kind,
+            Err(payload) => FailureKind::Panic(panic_message(&*payload)),
+        };
+        match kind {
+            FailureKind::Error(_) => stats.typed_failures += 1,
+            FailureKind::Panic(_) => {
+                stats.panics += 1;
+                stats.workers_respawned += 1;
+            }
+        }
+        if n + 1 >= max_attempts {
+            break Err(kind);
+        }
+        stats.backoff_units += retry.backoff_for(n);
+        n += 1;
+    };
+    stats.retries = u64::from(n);
+    let outcome = outcome.map_err(|kind| {
+        stats.failed_trials = 1;
+        TrialFailure {
+            index,
+            attempts: n + 1,
+            backoff_units: stats.backoff_units,
+            kind,
+        }
+    });
+    (outcome, stats)
+}
+
+/// [`attempt_trial`] for a job that runs on per-worker state. `slot`
+/// keeps the state from one trial to the next and `init()` fills it
+/// when empty. An attempt takes the state out and puts it back only
+/// when the job returns, so a panic drops the state it may have
+/// corrupted and the retry starts from a fresh `init()`: the worker
+/// re-inits in place.
+pub fn attempt_trial_with_state<S, T>(
+    retry: RetryPolicy,
+    index: usize,
+    slot: &mut Option<S>,
+    init: impl Fn() -> S,
+    job: impl Fn(&mut S, usize, u32) -> Result<T, String>,
+) -> (Result<T, TrialFailure>, FaultStats) {
+    attempt_trial(retry, index, |attempt| {
+        let mut state = slot.take().unwrap_or_else(&init);
+        let result = job(&mut state, index, attempt);
+        *slot = Some(state);
+        result.map_err(FailureKind::Error)
+    })
 }
 
 /// A worker pool that evaluates independent indexed jobs and commits
@@ -267,9 +293,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///   the queue behind a fixed chunk boundary);
 /// * **execute** — each job runs independently; results flow back over an
 ///   `mpsc` channel;
-/// * **commit** — the calling thread holds completions in a min-heap and
-///   releases them strictly in index order, so observable output is
-///   bit-identical for any worker count.
+/// * **commit** — the calling thread holds completions in an ordered
+///   map and releases them strictly in index order, so observable
+///   output is bit-identical for any worker count.
 ///
 /// # Examples
 ///
@@ -312,6 +338,10 @@ impl TrialScheduler {
 
     /// Evaluates `job(0..n)` and returns the results indexed by job
     /// number. Output is identical for every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a job panics, after committing every lower index.
     pub fn run<T, F>(&self, n: usize, job: F) -> Vec<T>
     where
         T: Send,
@@ -328,115 +358,44 @@ impl TrialScheduler {
     /// The commit callback runs on the calling thread, so it may hold
     /// `&mut` state (accumulate statistics, stream table rows) without
     /// synchronization, and sees exactly the sequence the serial loop
-    /// would produce.
-    pub fn run_committed<T, F, C>(&self, n: usize, job: F, commit: C)
+    /// would produce. This is the resilient pool with
+    /// [`RetryPolicy::none`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when a job panics, after committing every lower index.
+    pub fn run_committed<T, F, C>(&self, n: usize, job: F, mut commit: C)
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
         C: FnMut(usize, T),
     {
-        self.run_committed_stateful(n, || (), |(), i| job(i), commit);
-    }
-
-    /// [`run_committed`](Self::run_committed) with per-worker state.
-    ///
-    /// Each worker thread calls `init()` exactly once at spawn and
-    /// passes its state to every job it runs (the serial path holds one
-    /// state across the whole loop). This is the hook for reusing
-    /// expensive per-trial allocations — a worker's scratch buffers
-    /// survive from one trial to the next instead of being rebuilt.
-    ///
-    /// The state must not affect job results: which worker (and hence
-    /// which state instance) runs an index depends on dynamic load
-    /// balancing. Bit-identical output for every thread count therefore
-    /// requires `job(&mut fresh, i) == job(&mut reused, i)` — true for
-    /// scratch allocations by construction, and pinned for the trial
-    /// engine by the fast-path differential tests.
-    pub fn run_committed_stateful<S, T, I, F, C>(&self, n: usize, init: I, job: F, mut commit: C)
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-        C: FnMut(usize, T),
-    {
-        if n == 0 {
-            return;
-        }
-        if self.threads == 1 {
-            // The serial path is the reference semantics: compute and
-            // commit in one loop, one long-lived state.
-            let mut state = init();
-            for i in 0..n {
-                let v = job(&mut state, i);
-                commit(i, v);
-            }
-            return;
-        }
-
-        let workers = self.threads.min(n);
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Completed<T>>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let init = &init;
-                let job = &job;
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        let value = job(&mut state, index);
-                        if tx.send(Completed { index, value }).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-
-            // Deterministic committer: hold out-of-order completions in
-            // a min-heap and release the head whenever it is the next
-            // expected index.
-            let mut pending = BinaryHeap::new();
-            let mut next = 0usize;
-            while next < n {
-                let done = rx.recv().expect(
-                    "a worker panicked before completing its trial; \
-                     the experiment cannot be committed",
-                );
-                pending.push(done);
-                while pending
-                    .peek()
-                    .is_some_and(|head: &Completed<T>| head.index == next)
-                {
-                    let head = pending.pop().expect("peeked entry exists");
-                    commit(head.index, head.value);
-                    next += 1;
-                }
-            }
-        });
+        self.run_committed_resilient(
+            n,
+            RetryPolicy::none(),
+            |i, _| Ok::<T, String>(job(i)),
+            |i, outcome| match outcome {
+                Ok(value) => commit(i, value),
+                Err(failure) => panic!("{failure}"),
+            },
+        );
     }
 
     /// Fault-tolerant variant of [`run_committed`](Self::run_committed).
     ///
-    /// Each attempt of `job(index, attempt)` runs under
-    /// [`catch_unwind`], so a panicking trial poisons only its worker:
-    /// the committer respawns a replacement and the trial is retried
-    /// under `retry`'s budget with a capped deterministic backoff
-    /// schedule (virtual units — nothing sleeps, so results carry no
-    /// wall-clock). Typed errors (`Err(String)`) are retried in place
-    /// by the same worker. A trial that exhausts its budget commits a
+    /// Every trial runs through [`attempt_trial`]: each attempt of
+    /// `job(index, attempt)` runs under [`catch_unwind`], and panics and
+    /// typed errors (`Err(String)`) are retried by the same worker under
+    /// `retry`'s budget with a capped deterministic backoff schedule
+    /// (virtual units — nothing sleeps, so results carry no
+    /// wall-clock). A trial that exhausts its budget commits a
     /// [`TrialFailure`] instead of a value — the run completes and
     /// reports instead of aborting.
     ///
     /// `commit(index, outcome)` is still invoked strictly in index
     /// order on the calling thread, and both the committed sequence and
     /// the returned [`FaultStats`] are bit-identical for every thread
-    /// count (every statistic is a sum over `(index, attempt)` events).
+    /// count (every statistic is a sum of per-trial deltas).
     pub fn run_committed_resilient<T, F, C>(
         &self,
         n: usize,
@@ -453,15 +412,23 @@ impl TrialScheduler {
     }
 
     /// [`run_committed_resilient`](Self::run_committed_resilient) with
-    /// per-worker state (see
-    /// [`run_committed_stateful`](Self::run_committed_stateful)).
+    /// per-worker state.
     ///
-    /// Fault interaction: a panic may leave the worker's state
-    /// arbitrarily corrupted, so it is discarded with the poisoned
-    /// worker — the respawned replacement calls `init()` afresh (the
-    /// serial path re-inits in place, keeping the accounting
-    /// thread-count invariant). Typed errors retry on the same worker
-    /// with the same state, exactly like a healthy next trial.
+    /// Each worker (the calling thread, on the serial path) creates its
+    /// state with `init()` and passes it to every job it runs. This is
+    /// the hook for reusing expensive per-trial allocations — a
+    /// worker's scratch buffers survive from one trial to the next
+    /// instead of being rebuilt. A panic may leave the state arbitrarily
+    /// corrupted, so it is dropped and the worker re-`init()`s before it
+    /// retries (see [`attempt_trial_with_state`]); typed errors retry on
+    /// the same state, exactly like a healthy next trial.
+    ///
+    /// The state must not affect job results: which worker (and hence
+    /// which state instance) runs an index depends on dynamic load
+    /// balancing. Bit-identical output for every thread count therefore
+    /// requires `job(&mut fresh, i, a) == job(&mut reused, i, a)` — true
+    /// for scratch allocations by construction, and pinned for the trial
+    /// engine by the fast-path differential tests.
     pub fn run_committed_resilient_stateful<S, T, I, F, C>(
         &self,
         n: usize,
@@ -476,208 +443,59 @@ impl TrialScheduler {
         F: Fn(&mut S, usize, u32) -> Result<T, String> + Sync,
         C: FnMut(usize, Result<T, TrialFailure>),
     {
-        let max_attempts = retry.max_attempts.max(1);
         let mut stats = FaultStats::default();
-        if n == 0 {
-            return stats;
-        }
-
-        // Terminal bookkeeping shared by both paths: per-trial retries,
-        // typed failures and backoff are accounted exactly once, when
-        // the trial reaches a terminal outcome.
-        let finish = |stats: &mut FaultStats,
-                      index: usize,
-                      progress: Progress,
-                      outcome: Result<T, FailureKind>|
-         -> Result<T, TrialFailure> {
-            stats.retries += u64::from(progress.attempt);
-            stats.typed_failures += u64::from(progress.typed_failures);
-            stats.backoff_units += progress.backoff;
-            stats.trials_computed += 1;
-            outcome.map_err(|kind| {
-                stats.failed_trials += 1;
-                TrialFailure {
-                    index,
-                    attempts: progress.attempt + 1,
-                    backoff_units: progress.backoff,
-                    kind,
-                }
-            })
-        };
-
-        if self.threads == 1 {
-            // Serial reference semantics: attempts loop in place. A
-            // caught panic "poisons" the lone worker and the loop
-            // re-enters immediately — counted as a respawn, and the
-            // worker state is re-initialized in place, so the stats
-            // (and state lifecycle) are thread-count invariant.
-            let mut state = init();
+        let workers = self.threads.min(n);
+        if workers <= 1 {
+            // The serial path is the reference semantics: compute and
+            // commit in one loop on one long-lived state.
+            let mut state = None;
             for index in 0..n {
-                let mut progress = Progress::default();
-                let outcome = loop {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        job(&mut state, index, progress.attempt)
-                    })) {
-                        Ok(Ok(v)) => break Ok(v),
-                        Ok(Err(msg)) => {
-                            progress.typed_failures += 1;
-                            if progress.attempt + 1 >= max_attempts {
-                                break Err(FailureKind::Error(msg));
-                            }
-                        }
-                        Err(payload) => {
-                            stats.panics += 1;
-                            stats.workers_respawned += 1;
-                            // The panic may have corrupted the state
-                            // mid-trial; discard it like a poisoned
-                            // worker's.
-                            state = init();
-                            if progress.attempt + 1 >= max_attempts {
-                                break Err(FailureKind::Panic(panic_message(&*payload)));
-                            }
-                        }
-                    }
-                    progress.backoff += retry.backoff_for(progress.attempt);
-                    progress.attempt += 1;
-                };
-                let outcome = finish(&mut stats, index, progress, outcome);
+                let (outcome, delta) =
+                    attempt_trial_with_state(retry, index, &mut state, &init, &job);
+                stats.merge(&delta);
                 commit(index, outcome);
             }
             return stats;
         }
 
-        let workers = self.threads.min(n);
         let cursor = AtomicUsize::new(0);
-        let retry_queue: Mutex<VecDeque<(usize, Progress)>> = Mutex::new(VecDeque::new());
-        let (tx, rx) = mpsc::channel::<Report<T>>();
         std::thread::scope(|scope| {
-            // One spawn per worker slot; also used to respawn after a
-            // panic poisons a worker.
-            let spawn_worker = |tx: mpsc::Sender<Report<T>>| {
-                let cursor = &cursor;
-                let retry_queue = &retry_queue;
-                let init = &init;
-                let job = &job;
+            let (tx, rx) = mpsc::channel();
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (cursor, init, job) = (&cursor, &init, &job);
                 scope.spawn(move || {
-                    // Fresh state per (re)spawn: a respawned worker
-                    // never inherits a panicked predecessor's state.
-                    let mut state = init();
+                    let mut state = None;
                     loop {
-                        // Queued retries take priority over fresh indices.
-                        let work = retry_queue.lock().expect("retry queue").pop_front();
-                        let (index, mut progress) = match work {
-                            Some(w) => w,
-                            None => {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    return;
-                                }
-                                (i, Progress::default())
-                            }
-                        };
-                        loop {
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                job(&mut state, index, progress.attempt)
-                            })) {
-                                Ok(Ok(v)) => {
-                                    let _ = tx.send(Report::Done {
-                                        index,
-                                        outcome: Ok(v),
-                                        progress,
-                                    });
-                                    break;
-                                }
-                                Ok(Err(msg)) => {
-                                    // Typed errors retry in place; the
-                                    // worker is not poisoned.
-                                    progress.typed_failures += 1;
-                                    if progress.attempt + 1 >= max_attempts {
-                                        let _ = tx.send(Report::Done {
-                                            index,
-                                            outcome: Err(FailureKind::Error(msg)),
-                                            progress,
-                                        });
-                                        break;
-                                    }
-                                    progress.backoff += retry.backoff_for(progress.attempt);
-                                    progress.attempt += 1;
-                                }
-                                Err(payload) => {
-                                    // A panic may have corrupted this
-                                    // worker's stack-local state: report
-                                    // and exit; the committer respawns.
-                                    let _ = tx.send(Report::Panicked {
-                                        index,
-                                        progress,
-                                        message: panic_message(&*payload),
-                                    });
-                                    return;
-                                }
-                            }
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        if index >= n {
+                            break;
+                        }
+                        let done = attempt_trial_with_state(retry, index, &mut state, init, job);
+                        if tx.send((index, done)).is_err() {
+                            break;
                         }
                     }
                 });
-            };
-            for _ in 0..workers {
-                spawn_worker(tx.clone());
-            }
-
-            let mut pending: BinaryHeap<Completed<Result<T, TrialFailure>>> = BinaryHeap::new();
-            let mut next = 0usize;
-            while next < n {
-                let report = rx
-                    .recv()
-                    .expect("a worker exited without reporting its trial");
-                match report {
-                    Report::Done {
-                        index,
-                        outcome,
-                        progress,
-                    } => {
-                        let value = finish(&mut stats, index, progress, outcome);
-                        pending.push(Completed { index, value });
-                    }
-                    Report::Panicked {
-                        index,
-                        mut progress,
-                        message,
-                    } => {
-                        stats.panics += 1;
-                        stats.workers_respawned += 1;
-                        if progress.attempt + 1 >= max_attempts {
-                            let value = finish(
-                                &mut stats,
-                                index,
-                                progress,
-                                Err(FailureKind::Panic(message)),
-                            );
-                            pending.push(Completed { index, value });
-                        } else {
-                            progress.backoff += retry.backoff_for(progress.attempt);
-                            progress.attempt += 1;
-                            // Enqueue BEFORE spawning so the fresh
-                            // worker can never miss the retry and exit.
-                            retry_queue
-                                .lock()
-                                .expect("retry queue")
-                                .push_back((index, progress));
-                        }
-                        // Always respawn: idle workers may already have
-                        // exited, and unclaimed indices could otherwise
-                        // strand the committer.
-                        spawn_worker(tx.clone());
-                    }
-                }
-                while pending
-                    .peek()
-                    .is_some_and(|head: &Completed<Result<T, TrialFailure>>| head.index == next)
-                {
-                    let head = pending.pop().expect("peeked entry exists");
-                    commit(head.index, head.value);
-                    next += 1;
-                }
             }
             drop(tx);
+
+            // Deterministic committer: hold out-of-order completions
+            // until their index is the next to commit. Every attempt runs
+            // under `catch_unwind`, so a worker reports each index it
+            // claims.
+            let mut pending = BTreeMap::new();
+            for next in 0..n {
+                let (outcome, delta) = loop {
+                    if let Some(done) = pending.remove(&next) {
+                        break done;
+                    }
+                    let (index, done) = rx.recv().expect("every claimed trial is reported");
+                    pending.insert(index, done);
+                };
+                stats.merge(&delta);
+                commit(next, outcome);
+            }
         });
         stats
     }
@@ -845,6 +663,33 @@ mod tests {
         let sched = TrialScheduler::new(0);
         assert!(sched.threads() >= 1);
         assert_eq!(sched.run(5, |i| i), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn plain_runs_still_panic_on_a_job_panic() {
+        let job = |i: usize| {
+            assert!(i != 5, "job 5 exploded");
+            i
+        };
+        for threads in [1, 4] {
+            let sched = TrialScheduler::new(threads);
+            let payload = catch_unwind(AssertUnwindSafe(|| sched.run(8, job))).unwrap_err();
+            let message = panic_message(&*payload);
+            assert!(
+                message.contains("job 5 exploded"),
+                "threads={threads}: {message}"
+            );
+            let mut seen = Vec::new();
+            let committed = catch_unwind(AssertUnwindSafe(|| {
+                sched.run_committed(8, job, |i, _| seen.push(i))
+            }));
+            assert!(committed.is_err(), "threads={threads}");
+            assert_eq!(
+                seen,
+                [0, 1, 2, 3, 4],
+                "threads={threads}: lower indices commit first"
+            );
+        }
     }
 
     /// A job that panics on given (index, attempt) pairs and errors on

@@ -23,8 +23,10 @@ use tapeworm::server::{
 };
 use tapeworm::sim::{
     encode_outcome, fold_outcomes, run_sweep_planned, run_sweep_resilient_observed, ComponentSet,
-    PlanMode, PlannedCell, PlannerConfig, SweepOptions, SystemConfig, TrialOutcome, TrialSummary,
+    FaultPlan, PlanMode, PlannedCell, PlannerConfig, SweepOptions, SystemConfig, TrialOutcome,
+    TrialSummary,
 };
+use tapeworm::stats::trials::FaultStats;
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
 
@@ -166,6 +168,41 @@ fn pruned_simulated_cells_are_bit_identical_to_the_full_sweep() {
         planned.trials_saved(),
         planned.cells_interpolated() * trials as u64
     );
+}
+
+/// Pruned mode runs the full sweep's cell function under the
+/// scheduler's attempt loop: a panic injected into a simulated cell is
+/// contained and retried, and the planned sweep equals a clean one.
+#[test]
+fn pruned_mode_contains_and_retries_an_injected_panic() {
+    let configs = tab8_grid(8);
+    let run = |options: SweepOptions| {
+        let pruned = PlannerConfig::pruned();
+        let planned = run_sweep_planned(&configs, 4, SeedSeq::new(BASE_SEED), &options, &pruned);
+        let outcomes = planned.simulated_outcomes().iter();
+        let records: Vec<String> = outcomes.map(|(i, o)| encode_outcome(*i, o)).collect();
+        (
+            format!("{:?}", planned.cells()),
+            records,
+            *planned.fault_stats(),
+        )
+    };
+    let (clean_cells, clean_records, clean) = run(SweepOptions::default());
+    // Index 1 is trial 1 of config 0: a grid endpoint, so always
+    // simulated, and below `min_trials`, so never cut by an early stop.
+    let faults = FaultPlan::new().with_panic(1, 0);
+    let (cells, records, stats) = run(SweepOptions::default().with_faults(faults));
+    assert!(clean.is_clean());
+    let one_retry = FaultStats {
+        panics: 1,
+        retries: 1,
+        workers_respawned: 1,
+        backoff_units: 250,
+        ..clean
+    };
+    assert_eq!(stats, one_retry);
+    assert_eq!(cells, clean_cells, "a contained panic must not move a cell");
+    assert_eq!(records, clean_records);
 }
 
 /// (c) Every interpolated cell's miss estimate is within its declared
