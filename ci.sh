@@ -4,15 +4,21 @@
 #
 #   1. Formatting: `cargo fmt --check` over the whole workspace.
 #   2. Release build of the whole workspace.
-#   3. Full test suite (unit + doc + the cross-crate integration tests
-#      in tests/: paper_claims, full_system, exact_hardware,
-#      failure_injection, determinism, invariants).
+#   3. Full test suite: unit, doc, the per-crate suites under
+#      crates/*/tests/, and the 13 cross-crate suites in tests/
+#      (determinism, exact_hardware, failure_injection, fast_path,
+#      full_system, invariants, miss_batch, miss_schedule,
+#      paper_claims, planner, server_e2e, sparse_mem,
+#      trace_differential).
 #   3b. The golden and determinism suites (tests/determinism.rs,
 #      tests/full_system.rs) again under `taskset -c 0`: with one CPU
 #      no trial has a spare core, so the quantum schedule is built
 #      inline (DESIGN.md §18) and must give the same goldens. SKIPs
 #      explicitly where `taskset` is absent.
 #   4. Warnings are errors across the entire workspace, all targets.
+#   4b. Clippy is a gate: `cargo clippy --workspace --all-targets` with
+#      warnings as errors. SKIPs explicitly where clippy is not
+#      installed.
 #   5. Gate run of the throughput harness: results/BENCH.json must
 #      exist, carry the keys downstream tooling reads, and its
 #      single-thread refs/sec must be within 15% of the checked-in
@@ -97,6 +103,13 @@ fi
 
 echo "=== tier 2: warnings-as-errors (workspace, all targets) ==="
 RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets
+
+echo "=== tier 2: clippy (workspace, all targets, warnings are errors) ==="
+if cargo clippy --version >/dev/null 2>&1; then
+  cargo clippy -q --workspace --all-targets -- -D warnings
+else
+  echo "ci.sh: clippy gate SKIPPED: cargo clippy is not installed on this toolchain"
+fi
 
 echo "=== tier 2: perf_throughput gate run ==="
 ./target/release/perf_throughput --gate

@@ -270,7 +270,7 @@ mod tests {
         let (t, va1, pa1) = line(1, 256);
         let displaced = c.insert(t, va1, pa1).expect("conflict must displace");
         assert_eq!(displaced.pa, pa0);
-        assert_eq!(c.resident(), 16.min(1));
+        assert_eq!(c.resident(), 1);
     }
 
     #[test]

@@ -28,41 +28,12 @@ use std::fmt;
 /// chunk of `u64` bitmap words covers 512 words = 32768 granules.
 pub const CHUNK_BYTES: usize = 4096;
 
-/// Element types a [`SparseVec`] can hold: plain old data with a
-/// lossless `u64` wire form for the snapshot codec.
-pub trait SparseElem: Copy + PartialEq + fmt::Debug + 'static {
-    /// Widens the element to its `u64` wire form.
-    fn to_u64(self) -> u64;
-    /// Narrows a wire word back to the element; `None` if out of range.
-    fn try_from_u64(v: u64) -> Option<Self>;
-}
+/// Element types a [`SparseVec`] can hold: small plain old data.
+pub trait SparseElem: Copy + PartialEq + fmt::Debug + 'static {}
 
-impl SparseElem for u8 {
-    fn to_u64(self) -> u64 {
-        u64::from(self)
-    }
-    fn try_from_u64(v: u64) -> Option<Self> {
-        u8::try_from(v).ok()
-    }
-}
-
-impl SparseElem for u32 {
-    fn to_u64(self) -> u64 {
-        u64::from(self)
-    }
-    fn try_from_u64(v: u64) -> Option<Self> {
-        u32::try_from(v).ok()
-    }
-}
-
-impl SparseElem for u64 {
-    fn to_u64(self) -> u64 {
-        self
-    }
-    fn try_from_u64(v: u64) -> Option<Self> {
-        Some(v)
-    }
-}
+impl SparseElem for u8 {}
+impl SparseElem for u32 {}
+impl SparseElem for u64 {}
 
 /// Allocation counters of one or more sparse vectors, the source of
 /// the `sparse_chunks_allocated` / `zero_chunks_deduped` /
@@ -307,93 +278,6 @@ impl<T: SparseElem> SparseVec<T> {
             chunk_faults: self.chunk_faults,
         }
     }
-
-    /// Serializes the logical state (plus fault count) as `u64` words:
-    /// a header, then each materialized chunk run-length encoded — the
-    /// checkpoint form of sparse state.
-    pub fn encode_words(&self, out: &mut Vec<u64>) {
-        out.push(self.len as u64);
-        out.push(self.chunk as u64);
-        out.push(self.fill.to_u64());
-        // Mode word: always 0. Payloads from the retired dense layout
-        // carry 1 here and decode to the same logical state.
-        out.push(0);
-        out.push(self.chunk_faults);
-        let live: Vec<usize> = (0..self.table.len())
-            .filter(|&c| self.table[c] != 0)
-            .collect();
-        out.push(live.len() as u64);
-        for c in live {
-            out.push(c as u64);
-            let slice = self.chunk_slice(c);
-            let runs_at = out.len();
-            out.push(0); // run count, patched below
-            let mut runs = 0u64;
-            let mut i = 0;
-            while i < slice.len() {
-                let v = slice[i];
-                let mut n = 1u64;
-                while i + (n as usize) < slice.len() && slice[i + n as usize] == v {
-                    n += 1;
-                }
-                out.push(v.to_u64());
-                out.push(n);
-                runs += 1;
-                i += n as usize;
-            }
-            out[runs_at] = runs;
-        }
-    }
-
-    /// Rebuilds a vector of `len` elements from
-    /// [`SparseVec::encode_words`] output. `len` comes from the
-    /// caller's geometry, never from the payload: a header that
-    /// disagrees with it, or a length whose chunk table would overflow
-    /// the `u32` arena slots, is rejected before anything is allocated.
-    /// `None` on any structural mismatch (including a chunk geometry
-    /// encoded for a different element type).
-    pub fn decode_words<I: Iterator<Item = u64>>(words: &mut I, len: usize) -> Option<Self> {
-        let chunk = Self::chunk_elems();
-        if words.next()? != len as u64
-            || words.next()? != chunk as u64
-            || len.div_ceil(chunk) > u32::MAX as usize
-        {
-            return None;
-        }
-        let fill = T::try_from_u64(words.next()?)?;
-        if words.next()? > 1 {
-            return None;
-        }
-        let chunk_faults = words.next()?;
-        let mut v = Self::new(len, fill);
-        let live = usize::try_from(words.next()?).ok()?;
-        for _ in 0..live {
-            let c = usize::try_from(words.next()?).ok()?;
-            if c >= v.table.len() {
-                return None;
-            }
-            let runs = words.next()?;
-            let mut i = c << v.shift;
-            let end = (c + 1) << v.shift;
-            for _ in 0..runs {
-                let value = T::try_from_u64(words.next()?)?;
-                let n = usize::try_from(words.next()?).ok()?;
-                let stop = i.checked_add(n).filter(|&stop| stop <= end)?;
-                // Tail elements of the last chunk past `len` are fill
-                // by invariant, so these stores never write non-fill
-                // out of logical range.
-                for j in i..stop {
-                    v.store(j, value);
-                }
-                i = stop;
-            }
-            if i != end {
-                return None;
-            }
-        }
-        v.chunk_faults = chunk_faults;
-        Some(v)
-    }
 }
 
 /// Logical-content equality: two vectors are equal when every element
@@ -548,74 +432,5 @@ mod tests {
         assert_eq!(reused.load(7), 3);
         assert_eq!(reused.stats().chunks_allocated, 0);
         assert_eq!(reused.stats().chunk_faults, 0);
-    }
-
-    #[test]
-    fn snapshot_round_trips_sparse_state() {
-        let mut s = 0xfeed_f00d_dead_beefu64;
-        let mut v: SparseVec<u64> = SparseVec::new(50_000, 0);
-        for _ in 0..300 {
-            let i = (splitmix(&mut s) % 50_000) as usize;
-            v.store(i, splitmix(&mut s) % 16);
-        }
-        let mut words = Vec::new();
-        v.encode_words(&mut words);
-        let back = SparseVec::<u64>::decode_words(&mut words.into_iter(), 50_000).expect("decodes");
-        assert_eq!(back, v);
-        assert_eq!(back.stats().chunk_faults, v.stats().chunk_faults);
-        assert_eq!(back.len(), v.len());
-    }
-
-    #[test]
-    fn snapshot_rejects_wrong_element_geometry() {
-        let v: SparseVec<u64> = SparseVec::new(1000, 0);
-        let mut words = Vec::new();
-        v.encode_words(&mut words);
-        assert!(
-            SparseVec::<u32>::decode_words(&mut words.into_iter(), 1000).is_none(),
-            "a u64 snapshot must not decode as u32"
-        );
-    }
-
-    /// The header's length must match the caller's, and the retired
-    /// dense layout's mode word (1) decodes to the same state as 0.
-    #[test]
-    fn snapshot_checks_length_and_mode_word() {
-        let mut v: SparseVec<u64> = SparseVec::new(1000, 0);
-        v.store(3, 9);
-        let mut words = Vec::new();
-        v.encode_words(&mut words);
-        assert_eq!(words[3], 0, "the mode word is always written as 0");
-        let decode = |w: &[u64], len| SparseVec::<u64>::decode_words(&mut w.iter().copied(), len);
-        assert!(decode(&words, 999).is_none(), "length mismatch");
-        let mut dense = words.clone();
-        dense[3] = 1;
-        assert_eq!(decode(&dense, 1000).expect("dense payload decodes"), v);
-        dense[3] = 2;
-        assert!(decode(&dense, 1000).is_none(), "unknown mode word");
-        // A run length that would overflow the index is rejected, not
-        // wrapped.
-        let mut huge_run = words.clone();
-        huge_run[11] = u64::MAX; // the second run, starting past index 0
-        assert!(decode(&huge_run, 1000).is_none());
-        // A length whose chunk table leaves the u32 slot space is
-        // refused before anything is allocated.
-        let len = (u32::MAX as usize + 1) * SparseVec::<u64>::chunk_elems();
-        let header = [len as u64, 512, 0, 0, 0, 0];
-        assert!(decode(&header, len).is_none());
-    }
-
-    #[test]
-    fn snapshot_is_compressed_relative_to_dense() {
-        let mut v: SparseVec<u64> = SparseVec::new(1 << 20, 0);
-        v.store(0, 1); // one chunk materialized, mostly zero
-        let mut words = Vec::new();
-        v.encode_words(&mut words);
-        // Header + one chunk of RLE runs, not a megaword dump.
-        assert!(
-            words.len() < 32,
-            "RLE snapshot should be tiny, got {} words",
-            words.len()
-        );
     }
 }

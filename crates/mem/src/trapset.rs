@@ -164,56 +164,6 @@ impl TrapMap {
         self.bits.stats().merge(self.frame_counts.stats())
     }
 
-    /// Serializes the map's full state — geometry, event counters,
-    /// bitmap and per-frame counts — as plain words for the checkpoint
-    /// codec; [`TrapMap::restore_words`] round-trips it. Only
-    /// materialized chunks are written (run-length encoded), so a
-    /// nearly-clear huge map snapshots in space proportional to what
-    /// was touched, not to what was simulated.
-    pub fn snapshot_words(&self, out: &mut Vec<u64>) {
-        out.push(self.granule);
-        out.push(self.granules * self.granule);
-        out.push(self.count);
-        out.push(self.set_events);
-        out.push(self.clear_events);
-        self.bits.encode_words(out);
-        self.frame_counts.encode_words(out);
-    }
-
-    /// Rebuilds a map from [`TrapMap::snapshot_words`] output. Returns
-    /// `None` on truncated input, inconsistent geometry (including
-    /// backing lengths that disagree with it, checked before anything
-    /// is allocated), or a bitmap whose population count disagrees with
-    /// the stored trap count.
-    pub fn restore_words<I: Iterator<Item = u64>>(words: &mut I) -> Option<Self> {
-        let granule = words.next()?;
-        let mem_bytes = words.next()?;
-        let count = words.next()?;
-        let set_events = words.next()?;
-        let clear_events = words.next()?;
-        if granule == 0 || !granule.is_power_of_two() || mem_bytes % granule != 0 {
-            return None;
-        }
-        let (word_len, frame_len) = Self::backing_lens(mem_bytes, granule);
-        let bits: SparseVec<u64> = SparseVec::decode_words(words, word_len)?;
-        let frame_counts: SparseVec<u32> = SparseVec::decode_words(words, frame_len)?;
-        let granules = mem_bytes / granule;
-        let map = TrapMap {
-            bits,
-            granule,
-            shift: granule.trailing_zeros(),
-            granules,
-            count,
-            frame_counts,
-            set_events,
-            clear_events,
-        };
-        if map.recount() != count {
-            return None;
-        }
-        Some(map)
-    }
-
     /// Frame size of the per-frame trapped-granule counts, matching the
     /// default page size: the hot path asks "is the frame backing this
     /// page clean?" and a frame is exactly one page.
@@ -1245,56 +1195,5 @@ mod tests {
         assert_eq!(reused.count(), 0);
         assert_eq!(reused.sparse_stats().chunks_allocated, 0);
         assert_eq!(reused, TrapMap::new(8 * 4096, 16));
-    }
-
-    #[test]
-    fn snapshot_round_trips_map_state_and_counters() {
-        let mut map = TrapMap::new(64 * 4096, 16);
-        map.set_range(PhysAddr::new(0x3000), 4096);
-        map.set_range(PhysAddr::new(30 * 4096), 64);
-        map.clear_range(PhysAddr::new(0x3000), 32);
-        let mut words = Vec::new();
-        map.snapshot_words(&mut words);
-        let mut it = words.iter().copied();
-        let restored = TrapMap::restore_words(&mut it).expect("round trip");
-        assert_eq!(restored, map);
-        assert_eq!(restored.count(), map.count());
-        assert_eq!(restored.set_events(), map.set_events());
-        assert_eq!(restored.clear_events(), map.clear_events());
-        assert_eq!(
-            restored.frame_trapped(PhysAddr::new(0x3000)),
-            map.frame_trapped(PhysAddr::new(0x3000))
-        );
-        assert!(it.next().is_none(), "snapshot consumed exactly");
-    }
-
-    #[test]
-    fn snapshot_rejects_corrupted_count() {
-        let mut map = TrapMap::new(8 * 4096, 16);
-        map.set_range(PhysAddr::new(0), 64);
-        let mut words = Vec::new();
-        map.snapshot_words(&mut words);
-        words[2] += 1; // claim one more armed granule than the bitmap holds
-        assert!(TrapMap::restore_words(&mut words.iter().copied()).is_none());
-        assert!(
-            TrapMap::restore_words(&mut words[..3].iter().copied()).is_none(),
-            "truncated input is rejected"
-        );
-    }
-
-    #[test]
-    fn huge_map_snapshot_is_proportional_to_touched_state() {
-        let mut map = TrapMap::new(64 << 30, 4096);
-        map.set_range(PhysAddr::new(7 << 30), 4096);
-        let mut words = Vec::new();
-        map.snapshot_words(&mut words);
-        assert!(
-            words.len() < 64,
-            "one trap in 64 GiB must snapshot compactly, got {} words",
-            words.len()
-        );
-        let restored = TrapMap::restore_words(&mut words.iter().copied()).expect("round trip");
-        assert_eq!(restored, map);
-        assert!(restored.is_trapped(PhysAddr::new(7 << 30)));
     }
 }

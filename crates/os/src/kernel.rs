@@ -4,7 +4,6 @@
 use tapeworm_machine::Component;
 use tapeworm_mem::{FrameAllocator, PageSize, PhysAddr, VirtAddr};
 
-use crate::sched::WrrScheduler;
 use crate::task::{TapewormAttrs, TaskError, TaskTable, Tid};
 use crate::vm::{OutOfMemoryError, Translation, Vm, VmEvent, VmScratch};
 
@@ -46,8 +45,8 @@ pub enum Touch {
     },
 }
 
-/// The booted operating system: task table, VM, scheduler and the two
-/// boot-time server tasks.
+/// The booted operating system: task table, VM and the two boot-time
+/// server tasks.
 ///
 /// # Examples
 ///
@@ -73,7 +72,6 @@ pub enum Touch {
 pub struct Os {
     tasks: TaskTable,
     vm: Vm,
-    sched: WrrScheduler,
     bsd: Tid,
     x: Tid,
 }
@@ -102,7 +100,6 @@ impl Os {
         Os {
             tasks,
             vm: Vm::new_reusing(config.page_size, allocator, scratch),
-            sched: WrrScheduler::new(),
             bsd,
             x,
         }
@@ -138,11 +135,6 @@ impl Os {
     /// simulator to manipulate page valid bits).
     pub fn vm_mut(&mut self) -> &mut Vm {
         &mut self.vm
-    }
-
-    /// Mutable access to the scheduler.
-    pub fn scheduler_mut(&mut self) -> &mut WrrScheduler {
-        &mut self.sched
     }
 
     /// Spawns a fresh user task (e.g. a shell) with default (inactive)
@@ -259,7 +251,7 @@ impl Os {
         }
     }
 
-    /// Exits a task: unmaps its pages and unschedules it. Returns the
+    /// Exits a task and unmaps its pages. Returns the
     /// `tw_remove_page` events for simulated tasks.
     ///
     /// # Errors
@@ -269,7 +261,6 @@ impl Os {
     pub fn exit(&mut self, tid: Tid) -> Result<Vec<VmEvent>, TaskError> {
         let simulated = self.is_simulated(tid);
         self.tasks.exit(tid)?;
-        self.sched.remove(tid);
         let events = self.vm.unmap_all(tid);
         Ok(if simulated { events } else { Vec::new() })
     }

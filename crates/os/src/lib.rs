@@ -11,9 +11,6 @@
 //!   allocator; page faults emit [`VmEvent`]s corresponding to the
 //!   paper's `tw_register_page` / `tw_remove_page` calls, shared
 //!   mappings included.
-//! * [`sched`] — a weighted round-robin scheduler driven by clock
-//!   interrupts, used to interleave kernel, server and user components
-//!   in the proportions of Table 4.
 //! * [`Os`] — a facade that boots the kernel plus the BSD and X server
 //!   tasks and exposes fork/fault/exit with the right event plumbing.
 //!
@@ -21,16 +18,19 @@
 //! the experiment loop forwards to Tapeworm. That keeps the dependency
 //! arrow pointing the same way as in the paper (Tapeworm hooks into the
 //! VM system, not vice versa) while staying testable in isolation.
+//!
+//! Scheduling is not here: the weighted round-robin that interleaves
+//! kernel, server and user components in the proportions of Table 4
+//! is `tapeworm_sim`'s `QuantumSource`, which writes a trial's quantum
+//! schedule ahead of the engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod kernel;
-pub mod sched;
 pub mod task;
 pub mod vm;
 
 pub use kernel::{Os, OsConfig, Touch};
-pub use sched::WrrScheduler;
 pub use task::{TapewormAttrs, Task, TaskError, TaskTable, Tid};
 pub use vm::{OutOfMemoryError, Translation, Vm, VmEvent, VmScratch};

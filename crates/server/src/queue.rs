@@ -124,28 +124,34 @@ impl JobQueue {
     /// Submits a spec (stored verbatim), returning the new job's ID.
     /// The ID directory is claimed atomically, so concurrent submitters
     /// never collide; the `state` file is written last, making the
-    /// submission visible only once complete.
+    /// submission visible only once complete. IDs only grow, so a
+    /// queue holding a directory named `u64::MAX` takes no more jobs.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures.
+    /// Propagates filesystem failures, and fails when no ID above every
+    /// existing directory name is left.
     pub fn submit(&self, spec_text: &str) -> io::Result<JobId> {
         // Scan raw directory names (not `jobs()`) so half-created
         // directories still reserve their IDs.
-        let mut id = 1;
+        let mut id: JobId = 1;
         for entry in fs::read_dir(self.jobs_dir())? {
             if let Some(n) = entry?
                 .file_name()
                 .to_str()
                 .and_then(|s| s.parse::<JobId>().ok())
             {
-                id = id.max(n + 1);
+                id = id.max(n.saturating_add(1));
             }
         }
         loop {
             match fs::create_dir(self.job_dir(id)) {
                 Ok(()) => break,
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => id += 1,
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                    id = id
+                        .checked_add(1)
+                        .ok_or_else(|| io::Error::other("job ID space exhausted"))?;
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -155,7 +161,8 @@ impl JobQueue {
     }
 
     /// All visible jobs with their states, ascending by ID. Half-created
-    /// directories (no valid `state` file) are skipped.
+    /// directories and any whose `state` file holds no known token
+    /// (UTF-8 or not) are skipped.
     ///
     /// # Errors
     ///
@@ -165,7 +172,12 @@ impl JobQueue {
         for entry in fs::read_dir(self.jobs_dir())? {
             let entry = entry?;
             let name = entry.file_name();
-            let Some(id) = name.to_str().and_then(|s| s.parse::<JobId>().ok()) else {
+            // Only the canonical spelling names a job: `1` or `+1` next
+            // to `000001` would list job 1 twice.
+            let Some(id) = name
+                .to_str()
+                .and_then(|s| s.parse::<JobId>().ok().filter(|id| format!("{id:06}") == s))
+            else {
                 continue;
             };
             if let Some(state) = self.state(id)? {
@@ -177,14 +189,14 @@ impl JobQueue {
     }
 
     /// The job's current state, or `None` if it does not (visibly)
-    /// exist.
+    /// exist or its `state` file holds no known token.
     ///
     /// # Errors
     ///
     /// Propagates read failures other than the file being missing.
     pub fn state(&self, id: JobId) -> io::Result<Option<JobState>> {
-        match fs::read_to_string(self.job_dir(id).join("state")) {
-            Ok(text) => Ok(JobState::parse(&text)),
+        match fs::read(self.job_dir(id).join("state")) {
+            Ok(bytes) => Ok(std::str::from_utf8(&bytes).ok().and_then(JobState::parse)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
@@ -269,6 +281,39 @@ mod tests {
         // Submission skips past the claimed-but-invisible ID 9.
         let id = q.submit("x").unwrap();
         assert_eq!(id, 10);
+        fs::remove_dir_all(q.root()).unwrap();
+    }
+
+    #[test]
+    fn a_non_utf8_state_hides_only_its_own_job() {
+        let q = temp_queue("non-utf8");
+        let a = q.submit("a").unwrap();
+        let b = q.submit("b").unwrap();
+        fs::write(q.job_dir(a).join("state"), [0xff, 0xfe, b'd']).unwrap();
+        assert_eq!(q.state(a).unwrap(), None);
+        assert_eq!(q.jobs().unwrap(), vec![(b, JobState::Submitted)]);
+        assert_eq!(q.claim_next().unwrap(), Some(b));
+        fs::remove_dir_all(q.root()).unwrap();
+    }
+
+    #[test]
+    fn the_largest_job_id_cannot_overflow_submit() {
+        let q = temp_queue("max-id");
+        fs::create_dir(q.root().join(format!("jobs/{}", JobId::MAX))).unwrap();
+        let err = q.submit("x").unwrap_err();
+        assert!(err.to_string().contains("exhausted"), "{err}");
+        assert_eq!(q.jobs().unwrap(), vec![]);
+        fs::remove_dir_all(q.root()).unwrap();
+    }
+
+    #[test]
+    fn only_canonical_directory_names_are_jobs() {
+        let q = temp_queue("canonical");
+        let a = q.submit("a").unwrap();
+        for alias in ["1", "+1", "0000001"] {
+            fs::create_dir(q.root().join("jobs").join(alias)).unwrap();
+        }
+        assert_eq!(q.jobs().unwrap(), vec![(a, JobState::Submitted)]);
         fs::remove_dir_all(q.root()).unwrap();
     }
 }

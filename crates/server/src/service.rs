@@ -467,6 +467,11 @@ mod tests {
             svc.submit("trials = 1"),
             Err(ServiceError::Spec(_))
         ));
+        // Two configs × u64::MAX trials: the cell count overflows.
+        let huge = SPEC
+            .replace("trials = 2", &format!("trials = {}", u64::MAX))
+            .replace("cache_kb = [1]", "cache_kb = [1, 2]");
+        assert!(matches!(svc.submit(&huge), Err(ServiceError::Spec(_))));
         assert_eq!(svc.queue().jobs().unwrap(), vec![]);
         // A spec corrupted after submission fails at run time.
         let id = svc.submit(SPEC).unwrap();

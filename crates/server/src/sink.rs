@@ -7,14 +7,16 @@
 //! `tapeworm-metrics-v1` line per configuration with the merged
 //! counters/phases/dilation block, and a digest footer.
 //!
-//! The digest is the service's determinism pin: FNV-1a over the
-//! frozen-v1 checkpoint record lines (`encode_outcome_digest_v1(i, o)`
-//! + `\n` for every cell, in index order). Because every backend
-//! funnels its outcomes through the same codec, the digest is
-//! bit-identical across backends, thread counts, checkpoint resume,
-//! and cached-vs-fresh serving — and independent of presentation
-//! details like the job ID in the header and of counters appended to
-//! the registry after the digest encoding was frozen.
+//! The digest is the service's determinism pin: the workspace hash
+//! [`fnv1a`] (FNV-1a's loop with a non-standard multiplier, see its
+//! doc) over the frozen-v1 checkpoint record lines, each
+//! `encode_outcome_digest_v1(i, o)` followed by `\n`, for every cell
+//! in index order. Because every backend funnels its outcomes through
+//! the same codec, the digest is bit-identical across backends, thread
+//! counts, checkpoint resume, and cached-vs-fresh serving — and
+//! independent of presentation details like the job ID in the header
+//! and of counters appended to the registry after the digest encoding
+//! was frozen.
 
 use std::io;
 use std::path::Path;

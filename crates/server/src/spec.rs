@@ -481,7 +481,8 @@ impl SweepSpec {
 
         Ok(SweepSpec {
             name,
-            trials: trials as usize,
+            trials: usize::try_from(trials)
+                .map_err(|_| SpecError::global("`trials` out of range"))?,
             seed,
             scale,
             sampling,
@@ -551,6 +552,13 @@ impl SweepPlan {
                 }
             }
         }
+        if configs.len().checked_mul(spec.trials).is_none() {
+            return Err(SpecError::global(format!(
+                "{} configs × {} trials overflows the cell count",
+                configs.len(),
+                spec.trials
+            )));
+        }
         Ok(SweepPlan {
             spec,
             configs,
@@ -601,7 +609,6 @@ impl SweepPlan {
         PlannerConfig {
             mode: self.spec.plan,
             ci_bound: self.spec.ci_bound,
-            ..PlannerConfig::default()
         }
     }
 
@@ -751,6 +758,20 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_count_that_overflows_is_a_spec_error() {
+        let spec = |kbs: &str| {
+            format!(
+                "name = \"a\"\ntrials = {}\nworkloads = [\"sdet\"]\ncache_kb = [{kbs}]",
+                u64::MAX
+            )
+        };
+        let one = SweepPlan::resolve(&spec("4")).expect("one config fits");
+        assert_eq!(one.total(), usize::MAX);
+        let err = SweepPlan::resolve(&spec("4, 8")).unwrap_err().to_string();
+        assert!(err.contains("overflows"), "{err}");
+    }
+
+    #[test]
     fn plan_and_ci_bound_round_trip_with_full_default() {
         // Omitted keys: the spec defaults to a full sweep with the
         // planner's default bound.
@@ -772,7 +793,6 @@ mod tests {
         let cfg = pruned.planner_config();
         assert_eq!(cfg.mode, PlanMode::Pruned);
         assert_eq!(cfg.ci_bound, 0.125);
-        assert_eq!(cfg.min_trials, PlannerConfig::default().min_trials);
         // ci_bound = 0 (integer spelling) disables early stopping.
         let zero = SweepPlan::resolve(
             "name = \"d\"\ntrials = 1\nworkloads = [\"sdet\"]\ncache_kb = [4]\nci_bound = 0\n",

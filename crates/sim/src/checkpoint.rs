@@ -388,27 +388,6 @@ pub fn decode_outcome(line: &str) -> Option<(usize, TrialOutcome)> {
     decode_record(line)
 }
 
-/// Serializes a [`tapeworm_mem::TrapMap`]'s full state (geometry,
-/// event counters, bitmap, per-frame counts) as a hex-word payload.
-/// Sparse maps write only their materialized chunks, run-length
-/// encoded, so the payload scales with state touched rather than
-/// memory simulated — a nearly-clear 64 GiB map fits in one line.
-pub fn encode_trap_state(map: &tapeworm_mem::TrapMap) -> String {
-    let mut words = Vec::new();
-    map.snapshot_words(&mut words);
-    hex_words(&words)
-}
-
-/// Inverse of [`encode_trap_state`]. Returns `None` on malformed hex,
-/// truncated or trailing words, inconsistent geometry, or a bitmap
-/// that disagrees with its stored trap count.
-pub fn decode_trap_state(payload: &str) -> Option<tapeworm_mem::TrapMap> {
-    let words = parse_hex_words(payload)?;
-    let mut it = words.iter().copied();
-    let map = tapeworm_mem::TrapMap::restore_words(&mut it)?;
-    it.next().is_none().then_some(map)
-}
-
 /// Persists a committed prefix (or a complete run) of `total` outcomes
 /// as a `tapeworm-checkpoint-v1` document under identity `sweep_id`,
 /// atomically. The server's subprocess backend checkpoints through
@@ -446,81 +425,6 @@ pub fn load_outcomes(path: &Path, sweep_id: u64, total: usize) -> Option<Vec<Tri
 mod tests {
     use super::*;
     use tapeworm_obs::write_atomic;
-
-    #[test]
-    fn trap_state_round_trips_through_hex_payload() {
-        use tapeworm_mem::{PhysAddr, TrapMap};
-        let mut map = TrapMap::new(64 << 30, 16);
-        map.set_range(PhysAddr::new(13 << 30), 4096);
-        map.set_range(PhysAddr::new(0x4000), 64);
-        map.clear_range(PhysAddr::new(0x4000), 16);
-        let payload = encode_trap_state(&map);
-        assert!(
-            payload.len() < 4096,
-            "sparse 64 GiB map must encode compactly, got {} bytes",
-            payload.len()
-        );
-        let restored = decode_trap_state(&payload).expect("round trip");
-        assert_eq!(restored, map);
-        assert_eq!(restored.set_events(), map.set_events());
-        assert_eq!(restored.clear_events(), map.clear_events());
-        assert!(decode_trap_state("zz").is_none());
-        assert!(decode_trap_state(&format!("{payload} 1")).is_none());
-    }
-
-    /// Backing lengths in a payload that disagree with its geometry, or
-    /// a geometry too large to index, are rejected before anything is
-    /// allocated (a forged length must not size the chunk table).
-    #[test]
-    fn trap_state_with_forged_lengths_is_rejected_without_allocating() {
-        // 4 KiB at 16-byte granules: 4 bitmap words, 1 frame.
-        assert!(decode_trap_state("10 1000 0 0 0 4 200 0 0 0 0 1 400 0 0 0 0").is_some());
-        for forged in [
-            // Bitmap length u64::MAX.
-            "10 1000 0 0 0 ffffffffffffffff 200 0 0 0 0 1 400 0 0 0 0",
-            // Bitmap length off by one.
-            "10 1000 0 0 0 5 200 0 0 0 0 1 400 0 0 0 0",
-            // Frame-count length off by one.
-            "10 1000 0 0 0 4 200 0 0 0 0 2 400 0 0 0 0",
-            // mem_bytes = u64::MAX: not a whole number of 16-byte granules.
-            "10 ffffffffffffffff 0 0 0 4 200 0 0 0 0 1 400 0 0 0 0",
-            // mem_bytes = u64::MAX at 1-byte granules, with the lengths
-            // that geometry implies: its chunk table exceeds the u32
-            // slot space.
-            "1 ffffffffffffffff 0 0 0 400000000000000 200 0 0 0 0 10000000000000 400 0 0 0 0",
-        ] {
-            assert!(decode_trap_state(forged).is_none(), "{forged}");
-        }
-    }
-
-    /// A payload written by the retired dense layout (mode word 1, every
-    /// chunk listed, zero demand faults) still decodes, to the same map
-    /// the sparse layout produces.
-    #[test]
-    fn dense_layout_trap_state_still_decodes() {
-        use tapeworm_mem::{PhysAddr, TrapMap};
-        let dense = "10 2000 4 5 1 8 200 0 1 0 1 0 4 d0 1 0 6 8000000000000000 1 0 1f8 \
-                     2 400 0 1 0 1 0 3 3 1 1 1 0 3fe";
-        let mut map = TrapMap::new(8192, 16);
-        map.set_range(PhysAddr::new(0x40), 64);
-        map.set_range(PhysAddr::new(0x1ff0), 16);
-        map.clear_range(PhysAddr::new(0x50), 16);
-        let restored = decode_trap_state(dense).expect("dense payload decodes");
-        assert_eq!(restored, map);
-        assert_eq!(restored.set_events(), map.set_events());
-        assert_eq!(restored.clear_events(), map.clear_events());
-        assert_eq!(
-            restored.frame_trapped(PhysAddr::new(0x1000)),
-            map.frame_trapped(PhysAddr::new(0x1000))
-        );
-        // The sparse layout's encoding is unchanged: mode word 0 in
-        // both vectors, only materialized chunks listed.
-        assert_eq!(
-            encode_trap_state(&map),
-            "10 2000 4 5 1 8 200 0 0 1 1 0 4 d0 1 0 6 8000000000000000 1 0 1f8 \
-             2 400 0 0 1 1 0 3 3 1 1 1 0 3fe"
-        );
-    }
 
     fn sample_outcomes() -> Vec<StoredOutcome> {
         let result = TrialResult::new(
@@ -607,12 +511,7 @@ mod tests {
             (
                 "gap.json",
                 // Record index 1 without 0: prefix contiguity violated.
-                render(
-                    1,
-                    4,
-                    &[encode_record(1, &sample_outcomes()[0])
-                        .replace("\"index\": 1", "\"index\": 1")],
-                ),
+                render(1, 4, &[encode_record(1, &sample_outcomes()[0])]),
             ),
         ] {
             let path = dir.join(name);

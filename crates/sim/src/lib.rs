@@ -57,9 +57,8 @@ mod sweep;
 mod system;
 
 pub use checkpoint::{
-    decode_outcome, decode_trap_state, encode_outcome, encode_outcome_digest_v1, encode_trap_state,
-    load_outcomes, save_outcomes, sweep_fingerprint, CheckpointConfig, TrialOutcome,
-    CHECKPOINT_SCHEMA, DIGEST_COUNTERS_V1,
+    decode_outcome, encode_outcome, encode_outcome_digest_v1, load_outcomes, save_outcomes,
+    sweep_fingerprint, CheckpointConfig, TrialOutcome, CHECKPOINT_SCHEMA, DIGEST_COUNTERS_V1,
 };
 pub use codec::fnv1a;
 pub use config::{AllocPolicy, ComponentSet, CostKind, SimModel, SystemConfig};

@@ -17,17 +17,17 @@
 //!    bound. Estimates are never cached and never digest-folded as
 //!    ground truth.
 //! 2. **Adaptive trial sampling** — inside each simulated cell, trials
-//!    run in deterministic batches with the engine's exact
-//!    SplitMix64-seeded trial order and cell function
-//!    (`run_cell_attempt` under the scheduler's `attempt_trial` loop,
-//!    bit-identical to what a full sweep commits at the same index).
-//!    After each batch the running Student-t confidence interval of the
-//!    miss count is computed ([`tapeworm_stats::ci`]); when its relative
-//!    half-width closes below [`PlannerConfig::ci_bound`] the cell
-//!    stops early and reports the interval it stopped at. Because the
-//!    per-trial instruction stream is trial-invariant, the miss-count
-//!    interval and the miss-*ratio* interval have identical relative
-//!    widths.
+//!    run one at a time with the engine's exact SplitMix64-seeded
+//!    trial order and cell function (`run_cell_attempt` under the
+//!    scheduler's `attempt_trial` loop, bit-identical to what a full
+//!    sweep commits at the same index). From the third trial on, the
+//!    running Student-t 95% confidence interval of the miss count is
+//!    computed after each trial ([`tapeworm_stats::ci`]); when its
+//!    relative half-width closes below [`PlannerConfig::ci_bound`] the
+//!    cell stops early and reports the interval it stopped at. Because
+//!    the per-trial instruction stream is trial-invariant, the
+//!    miss-count interval and the miss-*ratio* interval have identical
+//!    relative widths.
 //!
 //! Honesty guarantees, pinned by `tests/planner.rs`:
 //! * [`PlanMode::Full`] delegates to [`run_sweep_resilient_observed`]
@@ -92,6 +92,13 @@ impl PlanMode {
     }
 }
 
+/// Confidence level of the early-stop interval.
+const CI_CONFIDENCE: f64 = 0.95;
+
+/// Trials every simulated cell runs before its first CI check; after
+/// that the interval is checked after every trial.
+const MIN_TRIALS: usize = 3;
+
 /// Everything that shapes the planner besides the grid itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
@@ -101,12 +108,6 @@ pub struct PlannerConfig {
     /// miss count; `0.0` disables early stopping (every simulated cell
     /// runs all its trials).
     pub ci_bound: f64,
-    /// Confidence level of the stopping interval (0.90/0.95/0.99).
-    pub confidence: f64,
-    /// Trials every simulated cell runs before the first CI check.
-    pub min_trials: usize,
-    /// Trials between CI checks after `min_trials`.
-    pub batch: usize,
 }
 
 impl Default for PlannerConfig {
@@ -114,9 +115,6 @@ impl Default for PlannerConfig {
         PlannerConfig {
             mode: PlanMode::Full,
             ci_bound: 0.05,
-            confidence: 0.95,
-            min_trials: 3,
-            batch: 1,
         }
     }
 }
@@ -138,12 +136,6 @@ impl PlannerConfig {
     /// Sets the relative CI half-width stopping bound.
     pub fn with_ci_bound(mut self, bound: f64) -> Self {
         self.ci_bound = bound;
-        self
-    }
-
-    /// Sets the minimum trials before the first CI check.
-    pub fn with_min_trials(mut self, min_trials: usize) -> Self {
-        self.min_trials = min_trials.max(1);
         self
     }
 }
@@ -173,6 +165,9 @@ pub struct EstimatedCell {
 }
 
 /// One cell of a planned sweep.
+// A sweep holds one cell per configuration, so boxing the larger
+// variant would save little and add an indirection to every read.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum PlannedCell {
     /// Trap-simulated ground truth.
@@ -563,12 +558,8 @@ fn run_pruned(
             outcomes.push((index, outcome.clone()));
             cell_outcomes.push(outcome);
             t += 1;
-            if planner.ci_bound > 0.0
-                && t < trials
-                && t >= planner.min_trials
-                && (t - planner.min_trials) % planner.batch.max(1) == 0
-            {
-                if let Some(ci) = mean_ci(&miss_acc, planner.confidence) {
+            if planner.ci_bound > 0.0 && t < trials && t >= MIN_TRIALS {
+                if let Some(ci) = mean_ci(&miss_acc, CI_CONFIDENCE) {
                     if ci.relative_half_width() <= planner.ci_bound {
                         early_stop = Some(ci);
                         break;
@@ -782,6 +773,6 @@ mod tests {
         assert_eq!(p.mode, PlanMode::Full);
         assert_eq!(PlanMode::Full.name(), "full");
         assert_eq!(PlanMode::Pruned.name(), "pruned");
-        assert!(p.ci_bound > 0.0 && p.confidence == 0.95 && p.min_trials >= 2);
+        assert!(p.ci_bound > 0.0 && CI_CONFIDENCE == 0.95 && MIN_TRIALS >= 2);
     }
 }

@@ -346,6 +346,8 @@ pub fn try_run_trial_windowed(
     .map(|(r, w, _)| (r, w))
 }
 
+// Boxing `Sim::Cache` would add a pointer chase on every miss.
+#[allow(clippy::large_enum_variant)]
 enum Sim {
     Cache(Tapeworm),
     TwoLevel(TwoLevelTapeworm),

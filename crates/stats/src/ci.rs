@@ -316,7 +316,7 @@ mod tests {
     /// repo's always-on property-loop idiom.
     #[test]
     fn half_width_shrinks_monotonically_in_sample_count() {
-        let mut rng = Rng::from_seed(0x5eed_c1);
+        let mut rng = Rng::from_seed(0x005e_edc1);
         for _ in 0..50 {
             let stddev = rng.next_f64() * 1e6 + 1e-3;
             let conf = [0.90, 0.95, 0.99][rng.gen_range(0..3u64) as usize];
@@ -337,7 +337,7 @@ mod tests {
     /// known mean), SplitMix64-seeded so the check is deterministic.
     #[test]
     fn coverage_is_at_least_nominal_on_known_populations() {
-        let mut rng = Rng::from_seed(0x5eed_c2);
+        let mut rng = Rng::from_seed(0x005e_edc2);
         let (mu, sigma) = (1000.0, 25.0);
         let draw = |rng: &mut Rng| {
             let z: f64 = (0..12).map(|_| rng.next_f64()).sum::<f64>() - 6.0;

@@ -709,13 +709,16 @@ mod tests {
         }
     }
 
+    /// Committed `(index, outcome)` pairs in commit order.
+    type Committed = Vec<(usize, Result<u64, TrialFailure>)>;
+
     fn run_resilient(
         threads: usize,
         n: usize,
         retry: RetryPolicy,
         panics: &[(usize, u32)],
         errors: &[(usize, u32)],
-    ) -> (Vec<(usize, Result<u64, TrialFailure>)>, FaultStats) {
+    ) -> (Committed, FaultStats) {
         let mut committed = Vec::new();
         let stats = TrialScheduler::new(threads).run_committed_resilient(
             n,

@@ -142,13 +142,11 @@ impl Cache2000 {
         let start = set * ways;
 
         // search()
-        for slot in &mut self.ways[start..start + ways] {
-            if let Some(w) = slot {
-                if w.tag == tag {
-                    w.stamp = self.clock;
-                    self.hits += 1;
-                    return true;
-                }
+        for w in self.ways[start..start + ways].iter_mut().flatten() {
+            if w.tag == tag {
+                w.stamp = self.clock;
+                self.hits += 1;
+                return true;
             }
         }
         // miss++ and replace()

@@ -8,9 +8,8 @@
 //!   **user-level instruction fetches of a single task**: multi-task
 //!   workloads are refused and kernel/server references never appear —
 //!   the completeness blind spot Table 6 quantifies.
-//! * [`Trace`] / [`TraceWriter`] / [`TraceReader`] — an address-trace
-//!   container with a compact delta-varint on-disk encoding (address
-//!   traces of 10⁹ references were the era's storage headache).
+//! * [`Trace`] — the in-memory address trace that carries Pixie's
+//!   output to Cache2000. Nothing is stored on disk.
 //! * [`Cache2000`] — the trace-driven simulator of Figure 1 (left):
 //!   search on every address, replace on miss, with per-address cycle
 //!   costs. Unlike the trap-driven simulator it sees every reference,
@@ -38,4 +37,4 @@ pub use cache2000::{Cache2000, Cache2000Config, TracePolicy};
 pub use filter::SetSampleFilter;
 pub use pixie::{Pixie, PixieError};
 pub use stackdist::StackDistance;
-pub use trace::{Trace, TraceIoError, TraceReader, TraceWriter};
+pub use trace::Trace;

@@ -1,13 +1,4 @@
-//! Address-trace containers and a compact on-disk encoding.
-//!
-//! Instruction traces are mostly small forward deltas (sequential
-//! fetches), so records are stored as zig-zag varint deltas from the
-//! previous address: long traces compress to ~1–2 bytes per reference
-//! instead of 8.
-
-use std::error::Error;
-use std::fmt;
-use std::io::{self, Read, Write};
+//! The in-memory address trace: Pixie fills it, Cache2000 replays it.
 
 use tapeworm_mem::VirtAddr;
 
@@ -23,9 +14,6 @@ use tapeworm_mem::VirtAddr;
 /// t.push(VirtAddr::new(0x1000));
 /// t.push(VirtAddr::new(0x1004));
 /// assert_eq!(t.len(), 2);
-/// let bytes = t.to_bytes();
-/// assert_eq!(Trace::from_bytes(&bytes)?, t);
-/// # Ok::<(), tapeworm_trace::TraceIoError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
@@ -57,31 +45,6 @@ impl Trace {
     pub fn iter(&self) -> impl Iterator<Item = VirtAddr> + '_ {
         self.addrs.iter().map(|&a| VirtAddr::new(a))
     }
-
-    /// Serializes with the delta-varint encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut w = TraceWriter::new(&mut out);
-        for a in self.iter() {
-            w.write(a).expect("writing to a Vec cannot fail");
-        }
-        w.finish().expect("writing to a Vec cannot fail");
-        out
-    }
-
-    /// Deserializes a [`Trace::to_bytes`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError`] on truncated or malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceIoError> {
-        let mut r = TraceReader::new(bytes);
-        let mut t = Trace::new();
-        while let Some(a) = r.read()? {
-            t.push(a);
-        }
-        Ok(t)
-    }
 }
 
 impl FromIterator<VirtAddr> for Trace {
@@ -98,192 +61,9 @@ impl Extend<VirtAddr> for Trace {
     }
 }
 
-/// Trace (de)serialization failure.
-#[derive(Debug)]
-pub enum TraceIoError {
-    /// Underlying I/O failed.
-    Io(io::Error),
-    /// A varint ran past its maximum length or the buffer ended inside
-    /// a record.
-    Malformed,
-}
-
-impl fmt::Display for TraceIoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceIoError::Io(e) => write!(f, "trace i/o failed: {e}"),
-            TraceIoError::Malformed => f.write_str("malformed trace encoding"),
-        }
-    }
-}
-
-impl Error for TraceIoError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            TraceIoError::Io(e) => Some(e),
-            TraceIoError::Malformed => None,
-        }
-    }
-}
-
-impl From<io::Error> for TraceIoError {
-    fn from(e: io::Error) -> Self {
-        TraceIoError::Io(e)
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Streams addresses out in delta-varint form. A mutable reference to
-/// any `Write` may be passed (`&mut file` works).
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    sink: W,
-    prev: u64,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Wraps a byte sink.
-    pub fn new(sink: W) -> Self {
-        TraceWriter { sink, prev: 0 }
-    }
-
-    /// Appends one address.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink I/O errors.
-    pub fn write(&mut self, va: VirtAddr) -> Result<(), TraceIoError> {
-        // Two's-complement wrapping difference: covers the full u64
-        // address range (a genuine overflow found by property testing).
-        let delta = va.raw().wrapping_sub(self.prev) as i64;
-        self.prev = va.raw();
-        let mut v = zigzag(delta);
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.sink.write_all(&[byte])?;
-                return Ok(());
-            }
-            self.sink.write_all(&[byte | 0x80])?;
-        }
-    }
-
-    /// Flushes and returns the sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink I/O errors.
-    pub fn finish(mut self) -> Result<W, TraceIoError> {
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-}
-
-/// Streams addresses back in.
-#[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    source: R,
-    prev: u64,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Wraps a byte source.
-    pub fn new(source: R) -> Self {
-        TraceReader { source, prev: 0 }
-    }
-
-    /// Reads the next address, or `None` at a clean end of stream.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceIoError::Malformed`] when the stream ends mid-record or a
-    /// varint exceeds 10 bytes.
-    pub fn read(&mut self) -> Result<Option<VirtAddr>, TraceIoError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        let mut first = true;
-        loop {
-            let mut byte = [0u8; 1];
-            match self.source.read(&mut byte) {
-                Ok(0) if first => return Ok(None),
-                Ok(0) => return Err(TraceIoError::Malformed),
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-            first = false;
-            if shift >= 64 {
-                return Err(TraceIoError::Malformed);
-            }
-            v |= u64::from(byte[0] & 0x7F) << shift;
-            if byte[0] & 0x80 == 0 {
-                let delta = unzigzag(v);
-                self.prev = self.prev.wrapping_add(delta as u64);
-                return Ok(Some(VirtAddr::new(self.prev)));
-            }
-            shift += 7;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip(addrs: &[u64]) {
-        let t: Trace = addrs.iter().map(|&a| VirtAddr::new(a)).collect();
-        let bytes = t.to_bytes();
-        assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
-    }
-
-    #[test]
-    fn empty_roundtrip() {
-        roundtrip(&[]);
-        assert!(Trace::new().is_empty());
-    }
-
-    #[test]
-    fn sequential_and_jumpy_roundtrip() {
-        roundtrip(&[0x1000, 0x1004, 0x1008, 0x4000_0000, 0x10, u64::MAX / 2]);
-    }
-
-    #[test]
-    fn sequential_fetches_compress_to_one_byte_each() {
-        let t: Trace = (0..1000u64)
-            .map(|i| VirtAddr::new(0x1000 + 4 * i))
-            .collect();
-        let bytes = t.to_bytes();
-        // First record takes a few bytes; the rest are delta=4 = 1 byte.
-        assert!(bytes.len() < 1005, "got {} bytes", bytes.len());
-    }
-
-    #[test]
-    fn truncated_stream_is_malformed() {
-        let t: Trace = [VirtAddr::new(0xFFFF_FFFF)].into_iter().collect();
-        let mut bytes = t.to_bytes();
-        bytes.pop();
-        assert!(matches!(
-            Trace::from_bytes(&bytes),
-            Err(TraceIoError::Malformed)
-        ));
-    }
-
-    #[test]
-    fn overlong_varint_is_malformed() {
-        let bytes = [0x80u8; 11];
-        assert!(matches!(
-            Trace::from_bytes(&bytes),
-            Err(TraceIoError::Malformed)
-        ));
-    }
 
     #[test]
     fn extend_and_iter() {
@@ -291,12 +71,6 @@ mod tests {
         t.extend([VirtAddr::new(1), VirtAddr::new(2)]);
         let got: Vec<u64> = t.iter().map(|a| a.raw()).collect();
         assert_eq!(got, vec![1, 2]);
-    }
-
-    #[test]
-    fn error_display_nonempty() {
-        assert!(!TraceIoError::Malformed.to_string().is_empty());
-        let io_err = TraceIoError::from(io::Error::new(io::ErrorKind::Other, "x"));
-        assert!(io_err.to_string().contains("x"));
+        assert!(Trace::new().is_empty());
     }
 }

@@ -166,7 +166,7 @@ fn masked_sections_lose_but_count_misses() {
     let mut tw = Tapeworm::new(cfg, 4096, SeedSeq::new(1));
     let mut machine = Machine::new(MachineConfig::default());
     let tid = Tid::new(1);
-    tw.tw_register_page(&mut traps_of(&mut machine), tid, Pfn::new(0), 0);
+    tw.tw_register_page(traps_of(&mut machine), tid, Pfn::new(0), 0);
 
     machine.set_interrupts_enabled(false);
     let mut lost = 0;

@@ -6,16 +6,14 @@
 //! all-zero page. This suite pins that the backing engages in every
 //! simulator mode and stays bit-identical across serial and parallel
 //! sweeps (its allocation tallies included), and property-tests the
-//! chunk materialization/dedup invariants against a plain `Vec` and
-//! the checkpoint codec's sparse trap-state round trip. The engine
-//! digests in `tests/determinism.rs` pin every mode's results.
+//! chunk materialization/dedup invariants against a plain `Vec`. The
+//! engine digests in `tests/determinism.rs` pin every mode's results.
 
 use tapeworm::core::{CacheConfig, TlbSimConfig};
-use tapeworm::mem::{PhysAddr, SparseVec, TrapMap, CHUNK_BYTES};
+use tapeworm::mem::{SparseVec, CHUNK_BYTES};
 use tapeworm::obs::CounterId;
 use tapeworm::sim::{
-    decode_trap_state, encode_trap_state, run_sweep, run_trial_observed, ComponentSet, ObsConfig,
-    SystemConfig, TrialResult,
+    run_sweep, run_trial_observed, ComponentSet, ObsConfig, SystemConfig, TrialResult,
 };
 use tapeworm::stats::SeedSeq;
 use tapeworm::workload::Workload;
@@ -175,56 +173,4 @@ fn chunk_materialization_and_dedup_invariants_hold_under_random_ops() {
             }
         }
     }
-}
-
-/// Property: the checkpoint codec round-trips a randomly mutated trap
-/// map — state, counts and event counters — through its hex payload,
-/// and the payload stays proportional to touched state.
-#[test]
-fn checkpoint_codec_round_trips_random_trap_state() {
-    let mut s = 0xc0de_u64;
-    for round in 0..16 {
-        let mem_bytes = 1u64 << (16 + (splitmix(&mut s) % 8)); // 64 KiB – 8 MiB
-        let mut map = TrapMap::new(mem_bytes, 16);
-        for _ in 0..64 {
-            let pa = PhysAddr::new(splitmix(&mut s) % mem_bytes);
-            let span = 16 * (1 + splitmix(&mut s) % 64);
-            let span = span.min(mem_bytes - pa.raw());
-            if span == 0 {
-                continue;
-            }
-            if splitmix(&mut s) % 3 == 0 {
-                map.clear_range(pa, span);
-            } else {
-                map.set_range(pa, span);
-            }
-        }
-        let payload = encode_trap_state(&map);
-        let restored = decode_trap_state(&payload)
-            .unwrap_or_else(|| panic!("round {round}: round trip failed"));
-        assert_eq!(restored, map, "round {round}");
-        assert_eq!(restored.count(), map.count(), "round {round}");
-        assert_eq!(restored.set_events(), map.set_events(), "round {round}");
-        assert_eq!(restored.clear_events(), map.clear_events(), "round {round}");
-        // Spot-check granule state agreement at random probes.
-        for _ in 0..64 {
-            let pa = PhysAddr::new(splitmix(&mut s) % mem_bytes);
-            assert_eq!(restored.is_trapped(pa), map.is_trapped(pa), "round {round}");
-            assert_eq!(
-                restored.frame_trapped(pa),
-                map.frame_trapped(pa),
-                "round {round}"
-            );
-        }
-    }
-    // Payload size scales with touched state, not simulated memory.
-    let mut huge = TrapMap::new(64 << 30, 16);
-    huge.set_range(PhysAddr::new(33 << 30), 256);
-    let payload = encode_trap_state(&huge);
-    assert!(
-        payload.len() < 2048,
-        "one hot page in 64 GiB must encode compactly, got {} bytes",
-        payload.len()
-    );
-    assert_eq!(decode_trap_state(&payload).expect("round trip"), huge);
 }
