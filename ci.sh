@@ -28,9 +28,11 @@
 #      `per_config` entry individually, so a regression on one config
 #      (say, the miss-heavy cache-4k) cannot hide behind a speedup on
 #      another. Each `per_config` entry's deterministic work counters,
-#      `instructions` and `trap_entries`, must then *equal* the
-#      baseline's: a change in simulated work fails here even where
-#      the time floor cannot see it.
+#      `instructions`, `trap_entries`, `fast_runs`, `fast_words`,
+#      `miss_batch_flushes` and `traps_set`, must then *equal* the
+#      baseline's: a change in simulated work, or work moved between
+#      the resident-run, burst and stepwise paths, fails here even
+#      where the time floor cannot see it.
 #   6. Thread-scaling gate: on a multi-core host, two workers must be
 #      at least 1.2x one worker. On a single core, speedup is
 #      physically impossible and any floor would be theatre, so the
@@ -80,8 +82,11 @@
 #      against the simulator crates by path) must pass its self-tests
 #      and finish 1-second traced `hit-heavy` and `miss-heavy` smoke
 #      runs whose result lines report `"correct": true` and
-#      `"failed": 0`. An engine API
-#      change that breaks the benchmark fails here. No timing is gated.
+#      `"failed": 0`, and whose details lines (seed 1) carry the pinned
+#      `sim_digest` and deterministic `counts` of each workload. An
+#      engine API change that breaks the benchmark, or an engine change
+#      that moves its simulated outcome or work, fails here. No timing
+#      is gated.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -117,7 +122,7 @@ test -s results/BENCH.json || { echo "ci.sh: results/BENCH.json missing or empty
 for key in schema per_config runs host_cpus scaling_status scaling two_thread_refs_per_sec \
            two_thread_speedup single_thread_refs_per_sec speedup_vs_baseline \
            large_mem_bytes sparse_rss_bytes sparse_chunks_allocated chunk_faults \
-           trap_entries ns_per_miss; do
+           trap_entries ns_per_miss fast_runs fast_words miss_batch_flushes traps_set; do
   grep -q "\"$key\"" results/BENCH.json || {
     echo "ci.sh: results/BENCH.json lacks \"$key\"" >&2; exit 1;
   }
@@ -193,31 +198,46 @@ fi
 echo "=== tier 2: per-config work-counter gate (exact) ==="
 if [ -s results/BENCH_baseline.json ]; then
   awk '
+    BEGIN { n = split("instructions trap_entries fast_runs fast_words miss_batch_flushes traps_set", keys, " ") }
     FNR == 1 { file++ }
     /"config":/ {
       match($0, /"config": *"[^"]*"/)
       name = substr($0, RSTART + 11, RLENGTH - 12)
-      match($0, /"instructions": *[0-9]*/)
-      ins = substr($0, RSTART + 16, RLENGTH - 16)
-      match($0, /"trap_entries": *[0-9]*/)
-      trp = substr($0, RSTART + 16, RLENGTH - 16)
-      if (file == 1) { bi[name] = ins; bt[name] = trp } else { ci[name] = ins; ct[name] = trp }
+      seen[file, name] = 1
+      for (k = 1; k <= n; k++) {
+        v = ""
+        if (match($0, "\"" keys[k] "\": *[0-9]+")) {
+          v = substr($0, RSTART, RLENGTH)
+          sub(/^.*: */, "", v)
+        }
+        val[file, name, k] = v
+      }
     }
     END {
       status = 0
-      for (name in bi) {
-        if (bi[name] == "" || bt[name] == "" || !(name in ci)) {
-          printf "ci.sh: work-counter gate: %s lacks instructions/trap_entries\n", \
-            name > "/dev/stderr"
+      for (key in seen) {
+        split(key, parts, SUBSEP)
+        if (parts[1] != 1) continue
+        name = parts[2]
+        if (!((2, name) in seen)) {
+          printf "ci.sh: work-counter gate: %s missing from BENCH.json\n", name > "/dev/stderr"
           status = 1
-        } else if (ci[name] != bi[name] || ct[name] != bt[name]) {
-          printf "ci.sh: work-counter drift: %s instructions %s trap_entries %s, baseline %s / %s\n", \
-            name, ci[name], ct[name], bi[name], bt[name] > "/dev/stderr"
-          status = 1
-        } else {
-          printf "ci.sh: work-counter gate ok: %-12s %s instructions, %s trap entries\n", \
-            name, ci[name], ct[name]
+          continue
         }
+        line = ""
+        for (k = 1; k <= n; k++) {
+          b = val[1, name, k]; c = val[2, name, k]
+          if (b == "" || c == "") {
+            printf "ci.sh: work-counter gate: %s lacks %s\n", name, keys[k] > "/dev/stderr"
+            status = 1
+          } else if (b != c) {
+            printf "ci.sh: work-counter drift: %s %s %s, baseline %s\n", \
+              name, keys[k], c, b > "/dev/stderr"
+            status = 1
+          }
+          line = line " " keys[k] "=" c
+        }
+        printf "ci.sh: work-counter gate: %-12s%s\n", name, line
       }
       exit status
     }' results/BENCH_baseline.json results/BENCH.json
@@ -460,7 +480,30 @@ for workload in hit-heavy miss-heavy; do
     echo "ci.sh: twbench $workload smoke run reports failed operations:" >&2
     cat "$result" >&2; exit 1;
   }
-  echo "ci.sh: twbench $workload smoke ok"
+  # The deterministic half of the details line: the digest of the
+  # simulated outcomes and the work counters behind them, pinned for
+  # seed 1. An engine change that claims bit-exactness must leave both.
+  case "$workload" in
+    miss-heavy)
+      want_digest=0x0feb7dafc634739e
+      want_counts='"counts": {"chunk_faults": 447, "fast_runs": 1885853, "fast_words": 104881614, "instructions": 119467904, "miss_batch_flushes": 334153, "page_walks": 214179, "sched_records": 334153, "sched_replays": 0, "sched_sig_misses": 0, "sparse_chunks_allocated": 447, "tcache_misses": 214179, "trap_entries": 3644886, "traps_cleared": 3644886, "traps_set": 3673558, "victim_memo_hits": 0}'
+      ;;
+    hit-heavy)
+      want_digest=0x409d2e690ed5c5a0
+      want_counts='"counts": {"chunk_faults": 447, "fast_runs": 1955074, "fast_words": 113031088, "instructions": 115673472, "miss_batch_flushes": 69259, "page_walks": 203467, "sched_records": 69259, "sched_replays": 0, "sched_sig_misses": 0, "sparse_chunks_allocated": 447, "tcache_misses": 203467, "trap_entries": 658703, "traps_cleared": 658703, "traps_set": 666639, "victim_memo_hits": 0}'
+      ;;
+  esac
+  details=$(tail -n 2 "results/twbench_smoke_$workload.txt" | head -n 1)
+  got_digest=$(printf '%s\n' "$details" | grep -o '"sim_digest": "[^"]*"' | grep -o '0x[0-9a-f]*')
+  got_counts=$(printf '%s\n' "$details" | grep -o '"counts": {[^}]*}')
+  if [ "$got_digest" != "$want_digest" ] || [ "$got_counts" != "$want_counts" ]; then
+    echo "ci.sh: twbench $workload seed 1 drifted from its pins:" >&2
+    echo "  sim_digest $got_digest, pinned $want_digest" >&2
+    echo "  got    $got_counts" >&2
+    echo "  pinned $want_counts" >&2
+    exit 1
+  fi
+  echo "ci.sh: twbench $workload smoke ok (sim_digest $got_digest, counts pinned)"
 done
 
 echo "ci.sh: all gates passed"

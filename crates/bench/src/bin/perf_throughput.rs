@@ -113,6 +113,15 @@ struct ConfigCell {
     /// from the hit-path throughput that `refs_per_sec` folds in. 0.0
     /// when no misses.
     ns_per_miss: f64,
+    /// Deterministic work counters of the cell's trials: resident-run
+    /// batches and their words, burst flushes and clear→set trap
+    /// transitions. They name which engine path did the work, so a
+    /// change that moves work between paths shows even when
+    /// `instructions` and `trap_entries` stay put.
+    fast_runs: u64,
+    fast_words: u64,
+    miss_batch_flushes: u64,
+    traps_set: u64,
 }
 
 /// Runs one sweep over [`LARGE_MEM_SMOKE_BYTES`] of simulated physical
@@ -406,6 +415,10 @@ fn main() {
             chunk_faults,
             trap_entries,
             ns_per_miss,
+            fast_runs: counters.get(CounterId::FastRuns),
+            fast_words: counters.get(CounterId::FastWords),
+            miss_batch_flushes: counters.get(CounterId::MissBatchFlushes),
+            traps_set: counters.get(CounterId::TrapsSet),
         });
     }
 
@@ -483,7 +496,7 @@ fn main() {
     for (i, c) in per_config.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"config\": \"{}\", \"wall_secs\": {:.6}, \"instructions\": {}, \"refs_per_sec\": {:.0}, \"trap_entries\": {}, \"ns_per_miss\": {:.2}, \"sparse_chunks_allocated\": {}, \"chunk_faults\": {}}}{}",
+            "    {{\"config\": \"{}\", \"wall_secs\": {:.6}, \"instructions\": {}, \"refs_per_sec\": {:.0}, \"trap_entries\": {}, \"ns_per_miss\": {:.2}, \"sparse_chunks_allocated\": {}, \"chunk_faults\": {}, \"fast_runs\": {}, \"fast_words\": {}, \"miss_batch_flushes\": {}, \"traps_set\": {}}}{}",
             escape(&c.name),
             c.wall_secs,
             c.instructions,
@@ -492,6 +505,10 @@ fn main() {
             c.ns_per_miss,
             c.chunks_allocated,
             c.chunk_faults,
+            c.fast_runs,
+            c.fast_words,
+            c.miss_batch_flushes,
+            c.traps_set,
             if i + 1 == per_config.len() { "" } else { "," }
         );
     }

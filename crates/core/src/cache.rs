@@ -165,6 +165,56 @@ impl SimCache {
         self.slots[i].line.replace(entry)
     }
 
+    /// Inserts the run of `n` lines that starts at the line-aligned
+    /// `first` (virtual and physical addresses advancing one line at a
+    /// time) into the consecutive sets from `first_set`, handing each
+    /// insert's displaced line to `victim` in run order: the table half
+    /// of a merged-eligible burst. Each line fares exactly as under
+    /// [`SimCache::insert_in_set`]. A direct-mapped FIFO cache walks the
+    /// run's slot slice once — a duplicate refreshes, an empty slot
+    /// fills, anything else is the victim — with no set arithmetic, no
+    /// way search and no replacement dispatch: the cursor never moves
+    /// and FIFO draws nothing. Every other cache takes the per-set
+    /// search.
+    #[inline]
+    pub(crate) fn insert_run(
+        &mut self,
+        first_set: u64,
+        first: CacheLine,
+        n: u64,
+        mut victim: impl FnMut(Option<CacheLine>),
+    ) {
+        debug_assert!(first_set + n <= self.cfg.sets(), "a run's sets wrapped");
+        let line = self.cfg.line_bytes();
+        let nth = |i: u64| CacheLine {
+            tid: first.tid,
+            va: first.va + i * line,
+            pa: first.pa + i * line,
+        };
+        if self.cfg.associativity() > 1 || self.cfg.replacement() != Replacement::Fifo {
+            for i in 0..n {
+                victim(self.insert_in_set(first_set + i, nth(i)));
+            }
+            return;
+        }
+        let start = first_set as usize;
+        let mut filled = 0;
+        for (i, slot) in (0..).zip(&mut self.slots[start..start + n as usize]) {
+            let entry = nth(i);
+            debug_assert_eq!(first_set + i, self.cfg.set_of(entry.va, entry.pa));
+            victim(match slot.line {
+                Some(l) if l == entry => None,
+                None => {
+                    slot.line = Some(entry);
+                    filled += 1;
+                    None
+                }
+                Some(_) => slot.line.replace(entry),
+            });
+        }
+        self.resident += filled;
+    }
+
     /// Removes and returns every line whose physical address lies in
     /// `[page_pa, page_pa + page_bytes)` — the flush performed by
     /// `tw_remove_page`.
@@ -399,25 +449,30 @@ mod tests {
         assert_eq!(r.rng, expect, "one draw per displacement");
     }
 
-    /// The direct-mapped short-circuit in [`SimCache::insert`] against
-    /// a plain one-line-per-set model over a SplitMix64 stream of lines
-    /// drawn from a pool small enough to revisit sets and repeat lines,
-    /// with the odd page flush to empty slots again: a duplicate
+    /// The direct-mapped short-circuit in [`SimCache::insert`] and the
+    /// slot-slice walk of [`SimCache::insert_run`] against a plain
+    /// one-line-per-set model over a SplitMix64 stream of lines drawn
+    /// from a pool small enough to revisit sets and repeat lines, with
+    /// the odd page flush to empty slots again. About half the draws
+    /// insert one line, the rest a run of consecutive lines through
+    /// consecutive sets that mixes all three cases. A duplicate
     /// refreshes without displacing, an empty slot fills (`resident` +
-    /// 1), anything else displaces the lone way. The FIFO cursor never
-    /// moves; Random spends exactly one draw per displacement and none
-    /// otherwise.
+    /// 1), anything else displaces the lone way, and a run reports its
+    /// victims in run order. The FIFO cursor never moves; Random spends
+    /// exactly one draw per displacement and none otherwise.
     #[test]
     fn direct_mapped_insert_matches_a_slot_per_set_model() {
         for replacement in [Replacement::Fifo, Replacement::Random] {
             let cfg = CacheConfig::new(256, 16, 1)
                 .unwrap()
                 .with_replacement(replacement);
-            let sets = cfg.sets() as usize;
+            let sets = cfg.sets();
             let mut c = SimCache::new(cfg, SeedSeq::new(5));
-            let mut model: Vec<Option<CacheLine>> = vec![None; sets];
+            let mut model: Vec<Option<CacheLine>> = vec![None; sets as usize];
             let mut stream = Rng::from_seed(0xd1_2ec7);
-            let mut seen = [0u32; 3]; // refreshes, fills, displacements
+            // Refreshes, fills and displacements, by single inserts
+            // and inside runs.
+            let mut seen = [[0u32; 3]; 2];
             for _ in 0..4096 {
                 let r = stream.next_u64();
                 let pa = (r % 64) * 16;
@@ -429,7 +484,7 @@ mod tests {
                     va: VirtAddr::new(pa + u64::from(tid.raw()) * 0x1000),
                     pa: PhysAddr::new(pa),
                 };
-                let set = (pa / 16) as usize % sets;
+                let set = (pa / 16) % sets;
                 if r >> 60 == 0 {
                     // Empty some slots again: flush a 256-byte "page".
                     let base = pa & !0xff;
@@ -440,37 +495,56 @@ mod tests {
                         }
                     }
                 }
+                let run = (r >> 59) & 1 == 1;
+                let n = if run { 1 + (r >> 40) % (sets - set) } else { 1 };
                 let (resident, mut draws) = (c.resident(), c.rng.clone());
-                let got = c.insert(entry.tid, entry.va + 7, entry.pa + 3);
-                let want = match model[set] {
-                    Some(l) if l == entry => {
-                        seen[0] += 1;
-                        assert_eq!(c.resident(), resident);
-                        None
-                    }
-                    None => {
-                        seen[1] += 1;
-                        assert_eq!(c.resident(), resident + 1);
-                        model[set] = Some(entry);
-                        None
-                    }
-                    old @ Some(_) => {
-                        seen[2] += 1;
-                        assert_eq!(c.resident(), resident);
-                        if replacement == Replacement::Random {
-                            let _: usize = draws.gen_range(0..1);
+                let mut want = Vec::new();
+                let mut fills = 0;
+                for i in 0..n {
+                    let line = CacheLine {
+                        tid,
+                        va: entry.va + i * 16,
+                        pa: entry.pa + i * 16,
+                    };
+                    let slot = &mut model[(set + i) as usize];
+                    want.push(match *slot {
+                        Some(l) if l == line => {
+                            seen[usize::from(run)][0] += 1;
+                            None
                         }
-                        model[set] = Some(entry);
-                        old
-                    }
+                        None => {
+                            seen[usize::from(run)][1] += 1;
+                            fills += 1;
+                            *slot = Some(line);
+                            None
+                        }
+                        old @ Some(_) => {
+                            seen[usize::from(run)][2] += 1;
+                            if replacement == Replacement::Random {
+                                let _: usize = draws.gen_range(0..1);
+                            }
+                            *slot = Some(line);
+                            old
+                        }
+                    });
+                }
+                let got = if run {
+                    let mut got = Vec::new();
+                    c.insert_run(set, entry, n, |v| got.push(v));
+                    got
+                } else {
+                    vec![c.insert(entry.tid, entry.va + 7, entry.pa + 3)]
                 };
                 assert_eq!(got, want);
+                assert_eq!(c.resident(), resident + fills);
                 assert_eq!(c.rng, draws, "{replacement:?}: one draw per displacement");
                 assert!(c.cursors.iter().all(|&k| k == 0));
                 let lines: Vec<_> = c.slots.iter().map(|s| s.line).collect();
                 assert_eq!(lines, model);
             }
-            assert!(seen.iter().all(|&n| n > 100), "{replacement:?}: {seen:?}");
+            for counts in seen {
+                assert!(counts.iter().all(|&n| n > 100), "{replacement:?}: {seen:?}");
+            }
         }
     }
 

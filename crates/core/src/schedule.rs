@@ -4,11 +4,12 @@
 //! A burst is a run of consecutive trapped granules inside one page.
 //! The engine sizes the whole run from the trap bitmap. Where geometry
 //! rules out a victim landing in the run
-//! ([`crate::Tapeworm::sched_eligible`]), the run is served at slice
-//! cost: one merged clear, one insert per line straight into its set
-//! (the run's sets are consecutive), and the victims re-armed last as
-//! coalesced runs, one word-masked set per address-contiguous stretch
-//! within a frame. Every other geometry serves each granule with
+//! ([`crate::Tapeworm::sched_eligible`]), the run is served at word
+//! cost: one merged clear, one run insert over the run's consecutive
+//! sets (a single slot-slice walk when direct-mapped), and the victims
+//! re-armed last as coalesced runs, one word-masked set per
+//! address-contiguous stretch within a frame. The run is clipped by the
+//! words left and the tick budget in closed form. Every other geometry serves each granule with
 //! [`crate::Tapeworm::handle_miss`]'s own clear and insert-and-re-arm
 //! steps. Nothing is cached between bursts, so the outcome is the
 //! stepwise outcome by construction (pinned by `tests/miss_batch.rs`

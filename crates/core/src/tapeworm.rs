@@ -347,8 +347,9 @@ impl Tapeworm {
     #[inline]
     fn insert_and_rearm(&mut self, traps: &mut TrapMap, tid: Tid, va: VirtAddr, pa: PhysAddr) {
         self.last_victim = self.tw_replace(tid, va, pa).map(|displaced| displaced.pa);
-        if let Some(v) = self.last_victim {
-            self.rearm(traps, v.raw(), v.raw() + self.cfg.line_bytes());
+        if let Some(v) = self.last_victim.map(PhysAddr::raw) {
+            let line = self.cfg.line_bytes();
+            rearm(&self.page_refs, self.page_shift, traps, v, v + line);
         }
     }
 
@@ -356,13 +357,13 @@ impl Tapeworm {
     /// line at `(va, pa)`, after the whole run's traps are cleared.
     /// A run never leaves its service span, one page in the engine, so
     /// with sets × line ≥ page its lines sit in consecutive sets from
-    /// the first one's and each insert goes straight to its set. Victims are re-armed last,
-    /// coalesced: address-contiguous victims within one frame take one
-    /// word-masked `set_range` and one registration probe. Exact
-    /// because victims of one run sit in distinct sets, hence are
-    /// distinct granules, and `set_range` counts transitions, so the
-    /// trap bits, `count`, `set_events` and per-frame counts equal the
-    /// per-victim re-arms'. A victim inside the run can only be the
+    /// the first one's and go in through one [`SimCache::insert_run`].
+    /// Victims are re-armed last, coalesced: address-contiguous victims
+    /// within one frame take one word-masked `set_range` and one
+    /// registration probe. Exact because victims of one run sit in
+    /// distinct sets, hence are distinct granules, and `set_range`
+    /// counts transitions, so the trap bits, `count`, `set_events` and
+    /// per-frame counts equal the per-victim re-arms'. A victim inside the run can only be the
     /// missing line's own alias, and re-arming it after the merged
     /// clear is exactly the handler's clear-then-re-arm. Pushes one
     /// victim slot per miss to `victims` when given; sets
@@ -380,42 +381,39 @@ impl Tapeworm {
         let line = self.cfg.line_bytes();
         let frame_mask = self.page_bytes - 1;
         let first_set = self.cfg.set_of_line(pa >> line.trailing_zeros());
-        debug_assert!(first_set + n <= self.cfg.sets(), "a run's sets wrapped");
+        let first = CacheLine {
+            tid,
+            va: VirtAddr::new(va),
+            pa: PhysAddr::new(pa),
+        };
+        let (page_refs, page_shift) = (&self.page_refs, self.page_shift);
         // The pending re-arm: victim lines [lo, hi) of one frame.
         let (mut lo, mut hi) = (0, 0);
         let mut last = None;
-        for i in 0..n {
-            let entry = CacheLine {
-                tid,
-                va: VirtAddr::new(va + i * line),
-                pa: PhysAddr::new(pa + i * line),
-            };
-            last = self.cache.insert_in_set(first_set + i, entry).map(|l| l.pa);
-            if let Some(v) = last.map(PhysAddr::raw) {
-                if v == hi && v & frame_mask != 0 {
-                    hi += line;
-                } else {
-                    self.rearm(traps, lo, hi);
-                    (lo, hi) = (v, v + line);
+        // Inlined into both of `insert_run`'s loops, the pending stretch
+        // stays in registers instead of behind a call per miss.
+        self.cache.insert_run(
+            first_set,
+            first,
+            n,
+            #[inline(always)]
+            |displaced| {
+                last = displaced.map(|l| l.pa);
+                if let Some(v) = last.map(PhysAddr::raw) {
+                    if v == hi && v & frame_mask != 0 {
+                        hi += line;
+                    } else {
+                        rearm(page_refs, page_shift, traps, lo, hi);
+                        (lo, hi) = (v, v + line);
+                    }
                 }
-            }
-            if let Some(out) = victims.as_deref_mut() {
-                out.push(last.map_or(0, |p| p.raw() + 1));
-            }
-        }
-        self.rearm(traps, lo, hi);
+                if let Some(out) = victims.as_deref_mut() {
+                    out.push(last.map_or(0, |p| p.raw() + 1));
+                }
+            },
+        );
+        rearm(page_refs, page_shift, traps, lo, hi);
         self.last_victim = last;
-    }
-
-    /// Re-arms the traps of displaced lines `[lo, hi)`, all in one
-    /// frame, while that frame is still registered (it always is —
-    /// removal flushes — but shared teardown ordering makes the check
-    /// cheap insurance). An empty range is a no-op.
-    #[inline]
-    fn rearm(&self, traps: &mut TrapMap, lo: u64, hi: u64) {
-        if hi > lo && self.refs_of(Pfn::new(lo >> self.page_shift)) > 0 {
-            traps.set_range(PhysAddr::new(lo), hi - lo);
-        }
     }
 
     /// Records a miss that was lost because interrupts were masked.
@@ -428,9 +426,10 @@ impl Tapeworm {
     /// at least a page, so every granule of a page maps to a distinct
     /// set, the page's sets are consecutive, and each set's only granule
     /// of that frame is the missing one itself. [`Tapeworm::service_burst`]
-    /// then serves a whole run at slice cost: one merged `clear_range`,
-    /// one insert per line straight into its set, and the victims
-    /// re-armed after the clear as coalesced `set_range`s, one per
+    /// then serves a whole run at word cost: one merged `clear_range`,
+    /// one run insert over the run's consecutive sets (a single
+    /// slot-slice walk when direct-mapped), and the victims re-armed
+    /// after the clear as coalesced `set_range`s, one per
     /// address-contiguous stretch within a frame. On every other
     /// geometry it clears one granule just before each insert and
     /// re-arms each victim at once, in [`Tapeworm::handle_miss`]'s
@@ -450,9 +449,10 @@ impl Tapeworm {
     /// Services one whole trap burst: the run of trapped granules from
     /// the request's entry, clipped by the remaining words and the live
     /// tick budget exactly as the per-chunk pre-checks of stepwise
-    /// execution would be. The run is sized from a handful of bitmap
-    /// word loads ([`TrapMap::trapped_run`]). Geometry alone decides
-    /// how it is served (see [`Tapeworm::sched_eligible`]): where no
+    /// execution would be, in closed form (see `clip`). The run is
+    /// sized from a handful of bitmap word loads
+    /// ([`TrapMap::trapped_run`]). Geometry alone decides how it is
+    /// served (see [`Tapeworm::sched_eligible`]): where no
     /// victim can land in the run, as one merged clear, a walk over the
     /// run's consecutive sets and coalesced victim re-arms; else one
     /// granule at a time with [`Tapeworm::handle_miss`]'s clear and
@@ -482,7 +482,7 @@ impl Tapeworm {
         let base_va = req.va.line_base(line).raw();
         let base_pa = req.pa.line_base(line).raw();
         let merged = self.sched_eligible();
-        let head_words = line_words - (req.va.raw() % line) / WORD_BYTES;
+        let head_words = line_words - (req.va.raw() & (line - 1)) / WORD_BYTES;
         let mut k = 0u64;
         let mut words = 0u64;
         let mut rem = req.rem_words;
@@ -493,26 +493,17 @@ impl Tapeworm {
         loop {
             let run = k + traps.trapped_run(PhysAddr::new(base_pa + k * line), g_count - k);
             let start = k;
-            // Clip the run by remaining words and the tick budget,
-            // replicating the stepwise per-chunk pre-checks exactly:
-            // the budget check always prices the dilation overhead,
-            // masked chunks then deduct only the undilated fetch cost.
-            while k < run && rem > 0 {
-                let bw = rem.min(if k == 0 { head_words } else { line_words });
-                let cost = bw * req.cpi_milli + req.dilate_ov_milli;
-                if cost >= budget {
-                    break;
-                }
-                budget -= if req.masked { bw * req.cpi_milli } else { cost };
-                words += bw;
-                rem -= bw;
-                k += 1;
-            }
+            let first_words = if k == 0 { head_words } else { line_words };
+            let (chunks, chunk_words) = clip(req, run - k, rem, budget, first_words, line_words);
+            k += chunks;
+            words += chunk_words;
+            rem -= chunk_words;
             if req.masked || k == start {
                 // Masked bursts change no simulator state, so their
                 // run never grows; the stepwise loop only counts them.
                 break;
             }
+            budget -= chunk_words * req.cpi_milli + chunks * req.dilate_ov_milli;
             if merged {
                 // The same k - start transitions as the per-miss
                 // clears; every re-arm comes after it.
@@ -613,6 +604,91 @@ impl Tapeworm {
         self.overhead_cycles = 0;
         self.handler_cycles = 0;
         self.replacement_cycles = 0;
+    }
+}
+
+/// Clips a trapped run of `avail` chunks by the remaining words `rem`
+/// and the tick budget in closed form, returning the chunks and words
+/// that stepwise execution's per-chunk pre-checks accept. The first
+/// chunk holds up to `first_words` words, the rest up to `line_words`,
+/// and the last may stop short where `rem` runs out.
+///
+/// Stepwise execution takes chunk j only while its worst-case cost,
+/// its words × CPI plus the dilation overhead, is below what is left
+/// of the budget; an unmasked chunk then spends that whole cost, a
+/// masked one only its fetch cost. Costs are non-negative, so chunk j
+/// passes exactly when the prefix total through j is below the budget:
+/// words × CPI + chunks × dilation unmasked, words × CPI + one dilation
+/// masked. That total grows with the prefix, so the accepted count is
+/// the longest prefix under the budget. Over whole chunks the total is
+/// affine in the count; only a short last chunk can fall below that
+/// line, and it is checked on its own.
+#[inline]
+fn clip(
+    req: &BurstRequest,
+    avail: u64,
+    rem: u64,
+    budget: u64,
+    first_words: u64,
+    line_words: u64,
+) -> (u64, u64) {
+    if avail == 0 || rem == 0 {
+        return (0, 0);
+    }
+    let (cpi, dilation) = (req.cpi_milli, req.dilate_ov_milli);
+    // Chunks until `rem` runs out: the first, then whole lines, the
+    // last of which may be short.
+    debug_assert!(line_words.is_power_of_two());
+    let by_words =
+        1 + ((rem.saturating_sub(first_words) + line_words - 1) >> line_words.trailing_zeros());
+    let most = avail.min(by_words);
+    // Prefixes of whole chunks under the budget: the first costs
+    // `head`, each further one `step` more.
+    let head = first_words * cpi + dilation;
+    let step = line_words * cpi + if req.masked { 0 } else { dilation };
+    let whole = match budget.checked_sub(head + 1) {
+        None => 0,
+        // The common case, a run well short of the tick: no division.
+        Some(slack) if (most - 1).saturating_mul(step) <= slack => most,
+        Some(slack) => 1 + slack / step,
+    };
+    let chunks = if whole >= most {
+        most
+    } else {
+        // Chunk `whole + 1` fails at a whole chunk's cost; only the
+        // short last chunk can still pass, at its true cost.
+        let n = whole + 1;
+        let extra = if req.masked {
+            dilation
+        } else {
+            n.saturating_mul(dilation)
+        };
+        let short_cost = rem.saturating_mul(cpi).saturating_add(extra);
+        if n == by_words && short_cost < budget {
+            n
+        } else {
+            whole
+        }
+    };
+    let words = match chunks {
+        0 => 0,
+        n => rem.min(first_words + (n - 1) * line_words),
+    };
+    (chunks, words)
+}
+
+/// Re-arms the traps of displaced lines `[lo, hi)`, all in one frame,
+/// while that frame is still registered in `page_refs` (it always is —
+/// removal flushes — but shared teardown ordering makes the check cheap
+/// insurance). An empty range is a no-op.
+#[inline]
+fn rearm(page_refs: &[u32], page_shift: u32, traps: &mut TrapMap, lo: u64, hi: u64) {
+    if hi > lo
+        && page_refs
+            .get((lo >> page_shift) as usize)
+            .is_some_and(|&r| r > 0)
+    {
+        traps.set_range(PhysAddr::new(lo), hi - lo);
     }
 }
 

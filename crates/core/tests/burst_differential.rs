@@ -178,33 +178,74 @@ fn build(cfg: &CacheConfig, seed: u64, pass: Option<PhysAddr>) -> (Tapeworm, Tra
 
 /// A seed-driven request over the registered frames: any entry word,
 /// any run length, sometimes masked, sometimes clipped by the budget.
+/// A clipping budget is either a whole multiple of a full chunk's cost
+/// or an edge of the closed-form clip: exactly the worst-case total of
+/// the first m chunks stepwise execution prices (words × CPI plus one
+/// dilation when masked, one per chunk otherwise), or that total ± 1
+/// milli, with the words sometimes running out mid-line in chunk m.
 fn request(rng: &mut SplitMix64) -> BurstRequest {
     let page = rng.below(PAGES);
     let va = page * PAGE + rng.below(PAGE / WORD_BYTES) * WORD_BYTES;
     let cpi_milli = 700 + rng.below(2000);
     let dilate_ov_milli = if rng.chance(2) { 246_000 } else { 0 };
-    let budget_milli = if rng.chance(3) {
+    let mut budget_milli = if rng.chance(3) {
         rng.below(40) * (LINE_WORDS * cpi_milli + dilate_ov_milli)
     } else {
         1 << 40
     };
+    let component = if rng.chance(2) {
+        Component::User
+    } else {
+        Component::Kernel
+    };
+    let mut rem_words = 1 + rng.below(2 * PAGE / WORD_BYTES);
+    let masked = rng.chance(4);
+    let want_victims = rng.chance(2);
+    // Half the clipping budgets move to an edge. The edge draws come
+    // from a side stream, so the main stream, and with it every other
+    // case, stays as it was.
+    let mut side = SplitMix64(!rng.0);
+    if budget_milli < 1 << 40 && side.chance(2) {
+        let head = LINE_WORDS - (va % LINE) / WORD_BYTES;
+        let m = 1 + side.below(4);
+        let full = head + (m - 1) * LINE_WORDS;
+        let last = if m == 1 { head } else { LINE_WORDS };
+        if last > 1 && side.chance(2) {
+            // Chunk m is the last and stops short of its line end.
+            rem_words = full - last + 1 + side.below(last - 1);
+        }
+        let words = rem_words.min(full);
+        let dilations = if masked { 1 } else { m };
+        let total = words * cpi_milli + dilations * dilate_ov_milli;
+        budget_milli = total + side.below(3) - 1;
+    }
     BurstRequest {
-        component: if rng.chance(2) {
-            Component::User
-        } else {
-            Component::Kernel
-        },
+        component,
         tid: Tid::new(1),
         va: VirtAddr::new(va),
         pa: PhysAddr::new(va),
-        rem_words: 1 + rng.below(2 * PAGE / WORD_BYTES),
+        rem_words,
         page_end_va: (page + 1) * PAGE,
         budget_milli,
         cpi_milli,
         dilate_ov_milli,
-        masked: rng.chance(4),
-        want_victims: rng.chance(2),
+        masked,
+        want_victims,
     }
+}
+
+/// Budget checks the reference made at an edge of the closed-form
+/// clip, where the budget left minus the chunk's worst-case cost is
+/// -1, 0 or +1 milli (index `margin + 1`).
+#[derive(Debug, Default)]
+struct Edges {
+    /// By margin, masked and dilated.
+    by_kind: [[[u64; 2]; 2]; 3],
+    /// By margin, where the chunk stopped short because the words ran
+    /// out mid-line.
+    short_last: [u64; 3],
+    /// By margin, in a request whose entry is mid-line.
+    mid_entry: [u64; 3],
 }
 
 /// What one side of a case produced.
@@ -226,6 +267,7 @@ fn stepwise(
     traps: &mut TrapMap,
     req: &BurstRequest,
     shapes: &mut [u64; 4],
+    edges: &mut Edges,
 ) -> Option<Served> {
     let mut out = Served {
         chunks: 0,
@@ -243,8 +285,16 @@ fn stepwise(
         if !traps.is_trapped(pa) {
             break;
         }
-        let bw = rem.min((LINE - va % LINE) / WORD_BYTES);
+        let to_line_end = (LINE - va % LINE) / WORD_BYTES;
+        let bw = rem.min(to_line_end);
         let cost = bw * req.cpi_milli + req.dilate_ov_milli;
+        let margin = i128::from(budget) - i128::from(cost);
+        if let Ok(edge @ 0..=2) = usize::try_from(margin + 1) {
+            let (masked, dilated) = (req.masked, req.dilate_ov_milli > 0);
+            edges.by_kind[edge][usize::from(masked)][usize::from(dilated)] += 1;
+            edges.short_last[edge] += u64::from(bw < to_line_end);
+            edges.mid_entry[edge] += u64::from(req.va.raw() % LINE != 0);
+        }
         if cost >= budget {
             break;
         }
@@ -365,6 +415,7 @@ fn snapshot(mut tw: Tapeworm, traps: &TrapMap) -> Snapshot {
 
 #[test]
 fn service_burst_matches_stepwise_on_every_geometry() {
+    let mut edges = Edges::default();
     for (cfg, expected) in geometries() {
         let eligible = Tapeworm::new(cfg, PAGE, SeedSeq::new(1994)).sched_eligible();
         let mut shapes = [0u64; 4];
@@ -382,7 +433,7 @@ fn service_burst_matches_stepwise_on_every_geometry() {
             let (mut fast, mut fast_traps) = build(&cfg, state_seed, pass);
             let (mut slow, mut slow_traps) = build(&cfg, state_seed, pass);
             let (mut got, calls) = serve(&mut fast, &mut fast_traps, &req);
-            let mut want = stepwise(&mut slow, &mut slow_traps, &req, &mut shapes);
+            let mut want = stepwise(&mut slow, &mut slow_traps, &req, &mut shapes, &mut edges);
             if let Some(w) = &want {
                 served += 1;
                 masked += u64::from(req.masked);
@@ -426,6 +477,21 @@ fn service_burst_matches_stepwise_on_every_geometry() {
             // What eligibility promises, and the merged clear relies on.
             assert_eq!(shapes[AHEAD] + shapes[REARMED], 0, "{cfg:?}: {shapes:?}");
         }
+    }
+    // Every edge of the clip was priced: each margin, masked or not,
+    // dilated or not, on a short last chunk and after a mid-line entry.
+    for margin in 0..3 {
+        for masked in 0..2 {
+            for dilated in 0..2 {
+                assert!(
+                    edges.by_kind[margin][masked][dilated] > 0,
+                    "no margin {} edge (masked {masked}, dilated {dilated}): {edges:?}",
+                    margin as i64 - 1
+                );
+            }
+        }
+        assert!(edges.short_last[margin] > 0, "{edges:?}");
+        assert!(edges.mid_entry[margin] > 0, "{edges:?}");
     }
 }
 
@@ -488,7 +554,13 @@ fn resident_retrapped_line_ahead_in_the_run_is_cleared_in_handler_order() {
     let req = whole_page_from(0);
     let (got, calls) = serve(&mut fast, &mut fast_traps, &req);
     let mut shapes = [0; 4];
-    let want = stepwise(&mut slow, &mut slow_traps, &req, &mut shapes);
+    let want = stepwise(
+        &mut slow,
+        &mut slow_traps,
+        &req,
+        &mut shapes,
+        &mut Edges::default(),
+    );
     assert_eq!(shapes[AHEAD], 1, "the 2048 line is displaced ahead");
     assert_eq!(got, want);
     assert_eq!(calls, 1);
@@ -513,7 +585,13 @@ fn a_victim_rearming_the_next_granule_extends_the_burst() {
     let req = whole_page_from(0);
     let (got, calls) = serve(&mut fast, &mut fast_traps, &req);
     let mut shapes = [0; 4];
-    let want = stepwise(&mut slow, &mut slow_traps, &req, &mut shapes);
+    let want = stepwise(
+        &mut slow,
+        &mut slow_traps,
+        &req,
+        &mut shapes,
+        &mut Edges::default(),
+    );
     assert!(shapes[REARMED] > 0, "no granule re-armed ahead");
     assert!(got.as_ref().is_some_and(|s| s.chunks > 160));
     assert_eq!(got, want);
@@ -530,7 +608,13 @@ fn twin_case(state: impl Fn() -> (Tapeworm, TrapMap), req: &BurstRequest) -> (Tr
     assert!(fast.sched_eligible(), "a merged run is under test");
     let (got, calls) = serve(&mut fast, &mut fast_traps, req);
     let mut shapes = [0; 4];
-    let want = stepwise(&mut slow, &mut slow_traps, req, &mut shapes);
+    let want = stepwise(
+        &mut slow,
+        &mut slow_traps,
+        req,
+        &mut shapes,
+        &mut Edges::default(),
+    );
     assert_eq!(got, want);
     assert_eq!(calls, 1);
     let traps = fast_traps.clone();

@@ -408,74 +408,55 @@ impl TrapMap {
             }
             return;
         }
-        if r.end - r.start == 1 {
-            // The per-miss service/re-arm shape — one cache line at a
-            // time. One bit test, one flip, one frame-count bump; no
-            // call into the masked bulk loop.
-            self.set_one(r.start);
+        self.edit(r.start, r.end - 1, true);
+    }
+
+    /// Sets or clears the traps on the inclusive, in-range granule span
+    /// `[first, last]` (`granule <= FRAME_BYTES` required, as for
+    /// [`TrapMap::apply_bulk`]). A span inside one bitmap word — the
+    /// per-miss clear, a victim re-arm, most merged burst clears — is
+    /// one masked load and store, one popcount of the flipped bits and
+    /// one frame-count update; wider spans take the bulk loop. Always
+    /// inlined: it is the whole per-miss trap edit.
+    #[inline(always)]
+    fn edit(&mut self, first: u64, last: u64, set: bool) {
+        let w = (first / 64) as usize;
+        if w != (last / 64) as usize {
+            self.apply_bulk(first, last, set);
             return;
         }
-        self.apply_bulk(r.start, r.end - 1, true);
+        let transitions = self.flip_word(w, first % 64, last % 64, set);
+        self.tally(transitions, set);
     }
 
-    /// Sets the trap on one in-range granule (`granule <= FRAME_BYTES`
-    /// required, as for [`TrapMap::apply_bulk`]). The inlined
-    /// single-granule core of [`TrapMap::set_range`].
-    #[inline]
-    fn set_one(&mut self, g: u64) {
-        let (w, b) = ((g / 64) as usize, g % 64);
-        let mask = 1u64 << b;
+    /// Sets (or clears) bits `lo..=hi` of bitmap word `w` and moves the
+    /// per-frame counts with them; returns how many bits flipped. When
+    /// every bit of the span flips, the usual case, the count is the
+    /// span's width; only a partly flipped span pays for a popcount. A
+    /// span that flips nothing stores nothing, so clearing untouched
+    /// memory never materializes a chunk.
+    #[inline(always)]
+    fn flip_word(&mut self, w: usize, lo: u64, hi: u64, set: bool) -> u64 {
+        let mask = word_mask(lo, hi);
         let old = self.bits.load(w);
-        if old & mask == 0 {
-            self.bits.store(w, old | mask);
-            self.count += 1;
-            self.set_events += 1;
-            let f = (g / (Self::FRAME_BYTES >> self.shift)) as usize;
-            self.frame_counts.store(f, self.frame_counts.load(f) + 1);
+        let flipped = if set { mask & !old } else { mask & old };
+        if flipped == 0 {
+            return 0;
         }
+        self.bits.store(w, old ^ flipped);
+        let n = if flipped == mask {
+            hi - lo + 1
+        } else {
+            u64::from(flipped.count_ones())
+        };
+        self.bump_frame_counts(w, flipped, n as u32, set);
+        n
     }
 
-    /// Clears the trap on one in-range granule; the inlined
-    /// single-granule core of [`TrapMap::clear_range`].
+    /// Adds `transitions` granule flips to `count` and the matching
+    /// event counter.
     #[inline]
-    fn clear_one(&mut self, g: u64) {
-        let (w, b) = ((g / 64) as usize, g % 64);
-        let mask = 1u64 << b;
-        let old = self.bits.load(w);
-        if old & mask != 0 {
-            self.bits.store(w, old & !mask);
-            self.count -= 1;
-            self.clear_events += 1;
-            let f = (g / (Self::FRAME_BYTES >> self.shift)) as usize;
-            self.frame_counts.store(f, self.frame_counts.load(f) - 1);
-        }
-    }
-
-    /// Word-masked bulk set/clear over the inclusive, in-range granule
-    /// span `[first, last]`. Requires `granule <= FRAME_BYTES` so each
-    /// bitmap word's flipped bits map onto whole frame-count groups.
-    /// Single-granule spans take [`TrapMap::set_one`] /
-    /// [`TrapMap::clear_one`] before reaching this loop. Words whose
-    /// flip mask changes nothing are skipped *before* any store, so a
-    /// bulk clear over untouched memory never materializes a chunk.
-    fn apply_bulk(&mut self, first: u64, last: u64, set: bool) {
-        let wf = (first / 64) as usize;
-        let wl = (last / 64) as usize;
-        let mut transitions = 0u64;
-        for w in wf..=wl {
-            let lo = if w == wf { first % 64 } else { 0 };
-            let hi = if w == wl { last % 64 } else { 63 };
-            let mask = (!0u64 >> (63 - hi)) & (!0u64 << lo);
-            let old = self.bits.load(w);
-            let flipped = if set { mask & !old } else { mask & old };
-            if flipped == 0 {
-                continue;
-            }
-            self.bits
-                .store(w, if set { old | mask } else { old & !mask });
-            transitions += u64::from(flipped.count_ones());
-            self.bump_frame_counts(w, flipped, set);
-        }
+    fn tally(&mut self, transitions: u64, set: bool) {
         if set {
             self.count += transitions;
             self.set_events += transitions;
@@ -485,39 +466,63 @@ impl TrapMap {
         }
     }
 
-    /// Applies the population count of `flipped` (changed bits in
-    /// bitmap word `w`) to the per-frame counts. Only called when
-    /// `granule <= FRAME_BYTES`, so a frame holds a whole number of
-    /// granules.
-    #[inline]
-    fn bump_frame_counts(&mut self, w: usize, flipped: u64, set: bool) {
-        let per_frame = Self::FRAME_BYTES >> self.shift;
-        if per_frame >= 64 {
+    /// Word-masked bulk set/clear over the inclusive, in-range granule
+    /// span `[first, last]` when it crosses a bitmap word (registration,
+    /// removal, long burst clears). Requires `granule <= FRAME_BYTES` so
+    /// each bitmap word's flipped bits map onto whole frame-count
+    /// groups.
+    fn apply_bulk(&mut self, first: u64, last: u64, set: bool) {
+        let wf = (first / 64) as usize;
+        let wl = (last / 64) as usize;
+        let mut transitions = 0u64;
+        for w in wf..=wl {
+            let lo = if w == wf { first % 64 } else { 0 };
+            let hi = if w == wl { last % 64 } else { 63 };
+            transitions += self.flip_word(w, lo, hi, set);
+        }
+        self.tally(transitions, set);
+    }
+
+    /// Applies `flipped`, the `n` changed bits of bitmap word `w`, to
+    /// the per-frame counts. Only called when `granule <= FRAME_BYTES`,
+    /// so a frame holds a whole number of granules.
+    #[inline(always)]
+    fn bump_frame_counts(&mut self, w: usize, flipped: u64, n: u32, set: bool) {
+        // log2 of the granules per frame: frame indices are shifts.
+        let frame_shift = Self::FRAME_BYTES.trailing_zeros() - self.shift;
+        if frame_shift >= 6 {
             // One or more whole words per frame: the whole word's
             // population count lands in a single frame.
-            let f = w / (per_frame / 64) as usize;
-            let n = flipped.count_ones();
+            let f = w >> (frame_shift - 6);
             let old = self.frame_counts.load(f);
             self.frame_counts
                 .store(f, if set { old + n } else { old - n });
         } else {
-            // Several frames per word: split the flipped bits into
-            // `per_frame`-bit groups, one population count each.
-            let group_mask = (1u64 << per_frame) - 1;
-            let base = w * (64 / per_frame) as usize;
-            let mut rest = flipped;
-            let mut i = 0usize;
-            while rest != 0 {
-                let n = (rest & group_mask).count_ones();
-                if n != 0 {
-                    let f = base + i;
-                    let old = self.frame_counts.load(f);
-                    self.frame_counts
-                        .store(f, if set { old + n } else { old - n });
-                }
-                rest >>= per_frame;
-                i += 1;
+            self.bump_frame_groups(w, flipped, frame_shift, set);
+        }
+    }
+
+    /// [`TrapMap::bump_frame_counts`] when several frames share a
+    /// bitmap word (`1 << frame_shift` granules each): split the
+    /// flipped bits into per-frame groups, one population count each.
+    /// Kept out of line so the one-frame case inlines small.
+    #[inline(never)]
+    fn bump_frame_groups(&mut self, w: usize, flipped: u64, frame_shift: u32, set: bool) {
+        let per_frame = 1u32 << frame_shift;
+        let group_mask = (1u64 << per_frame) - 1;
+        let base = w << (6 - frame_shift);
+        let mut rest = flipped;
+        let mut i = 0usize;
+        while rest != 0 {
+            let n = (rest & group_mask).count_ones();
+            if n != 0 {
+                let f = base + i;
+                let old = self.frame_counts.load(f);
+                self.frame_counts
+                    .store(f, if set { old + n } else { old - n });
             }
+            rest >>= per_frame;
+            i += 1;
         }
     }
 
@@ -551,11 +556,7 @@ impl TrapMap {
             }
             return;
         }
-        if r.end - r.start == 1 {
-            self.clear_one(r.start);
-            return;
-        }
-        self.apply_bulk(r.start, r.end - 1, false);
+        self.edit(r.start, r.end - 1, false);
     }
 
     #[inline]
@@ -613,6 +614,12 @@ impl TrapMap {
     pub fn clear_events(&self) -> u64 {
         self.clear_events
     }
+}
+
+/// Bits `lo..=hi` of a bitmap word.
+#[inline]
+fn word_mask(lo: u64, hi: u64) -> u64 {
+    (!0u64 >> (63 - hi)) & (!0u64 << lo)
 }
 
 #[cfg(test)]
@@ -954,7 +961,9 @@ mod tests {
     /// Property: the word-masked bulk `set_range`/`clear_range` are
     /// bit-identical — state, count, frame counts, and event
     /// transitions — to the per-granule reference walk, across random
-    /// unaligned ranges and all granule geometries.
+    /// unaligned ranges and all granule geometries. Half the ranges span
+    /// at most one bitmap word's worth of granules, so the one-word
+    /// edit is driven as hard as the multi-word loop.
     #[test]
     fn bulk_range_ops_match_per_granule_reference() {
         let mut s = 0x51ed_270b_89ac_4c52u64;
@@ -971,7 +980,11 @@ mod tests {
             let mut reference = TrapMap::new(mem_bytes, granule);
             for _ in 0..300 {
                 let pa = PhysAddr::new(next() % (mem_bytes + 4096));
-                let size = next() % 12_000;
+                let size = if next() % 2 == 0 {
+                    next() % 12_000
+                } else {
+                    next() % (64 * granule)
+                };
                 if next() % 2 == 0 {
                     bulk.set_range(pa, size);
                     for g in reference.range_granules(pa, size) {

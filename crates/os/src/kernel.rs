@@ -202,26 +202,6 @@ impl Os {
             .unwrap_or(false)
     }
 
-    /// The span one batched trap-service pass may cover from `va`: the
-    /// physical address under the live mapping plus the bytes remaining
-    /// in its page. This is the kernel's guarantee to the engine's miss
-    /// burst — mappings cannot change under a running quantum, so a
-    /// single handler pass may service every trap in the span without
-    /// re-entering the VM system. A counting-free page-table read (no
-    /// translation-cache or walk counter moves), so the burst can
-    /// re-validate its page-local translation memo against the real
-    /// page table without perturbing observability. Returns `None`
-    /// unless the page is mapped and hardware-valid — page-trapped
-    /// (TLB-simulation) and unmapped references take the stepwise
-    /// demand-map path.
-    pub fn trap_service_span(&self, tid: Tid, va: VirtAddr) -> Option<(PhysAddr, u64)> {
-        let page = self.vm.page_size().bytes();
-        let vpn = va.page_number(page);
-        let pte = self.vm.pte(tid, vpn).filter(|p| p.valid)?;
-        let pa = pte.pfn.base(page) + va.page_offset(page);
-        Some((pa, page - va.page_offset(page)))
-    }
-
     /// Routes one memory reference through the VM system, demand-mapping
     /// on first touch.
     ///

@@ -889,8 +889,12 @@ impl<'c> Engine<'c> {
                     // a trapped granule, so this chunk (and typically a
                     // run of successors — cold pages trap every line)
                     // takes the miss path. `service_burst` serves the
-                    // whole trapped run through the handler's own table
-                    // steps, and the engine flushes retire/phase/clock
+                    // whole trapped run: sized from the trap bitmap,
+                    // clipped by the words left and the tick budget in
+                    // closed form, and on merged-eligible geometry
+                    // disarmed in one masked clear, inserted in one walk
+                    // over the run's sets and re-armed in coalesced
+                    // stretches. The engine flushes retire/phase/clock
                     // bookkeeping once. Bit-exactness by construction:
                     // * every trap-bit transition, victim and random
                     //   draw is the stepwise sequence (see
@@ -901,35 +905,33 @@ impl<'c> Engine<'c> {
                     //   is clean, so the fast path above commits
                     //   exactly the batches (and counts exactly the
                     //   fast_runs/fast_words) it would have stepwise;
-                    // * every chunk's worst-case dilated cost is
-                    //   strictly pre-checked against the remaining tick
-                    //   budget, so the single deferred advance() fires
-                    //   no interrupt — handler delivery positions are
+                    // * the burst takes exactly the chunks whose
+                    //   worst-case dilated cost the stepwise pre-check
+                    //   passes against the remaining tick budget, so
+                    //   the single deferred advance() fires no
+                    //   interrupt — handler delivery positions are
                     //   untouched;
-                    // * the burst never crosses the page, so the memo
-                    //   translation covers it;
+                    // * the burst runs to the end of the memo's page at
+                    //   most, so the memo translation covers it
+                    //   (mappings cannot change under a running
+                    //   quantum; debug builds check it against the page
+                    //   table);
                     // * ring events carry the virtual timestamp the
                     //   stepwise clock would show at that trap — the
                     //   base clock plus exactly the workload/dilated
                     //   overhead cycles the deferred advance() will
                     //   apply for the chunks already burst.
-                    //
-                    // The kernel's statement of how far one trap-service
-                    // pass may run: the live mapping's remaining page
-                    // span (a counting-free page-table read). Also
-                    // cross-checks the page memo against the real page
-                    // table.
-                    let page_end = match self.os.trap_service_span(tid, va) {
-                        Some((span_pa, span_bytes)) => {
-                            debug_assert_eq!(
-                                span_pa.raw(),
-                                pa.raw(),
-                                "page memo agrees with the page table"
-                            );
-                            va.raw() + span_bytes
-                        }
-                        None => (vpn + 1) * self.page_bytes,
-                    };
+                    let page_end = (vpn + 1) * self.page_bytes;
+                    debug_assert!(
+                        self.os
+                            .vm()
+                            .pte(tid, vpn)
+                            .filter(|p| p.valid)
+                            .map_or(true, |p| {
+                                p.pfn.base(self.page_bytes) + va.page_offset(self.page_bytes) == pa
+                            }),
+                        "page memo agrees with the page table"
+                    );
                     // Only constant-cost handlers qualify (the budget
                     // pre-check must bound the charge): the single
                     // cache and the split icache — the two-level
