@@ -67,6 +67,11 @@
 #      crates/, src/ or tests/ except crates/stats/src/trials.rs, whose
 #      `attempt_trial` is the retry loop every trial runs through (the
 #      scheduler, the planner's pruned pass, the subprocess backend).
+#   9d. Fresh engines: `new_reusing`, `boot_reusing`, `into_scratch`,
+#      `with_storage`, `into_storage` and `_stateful` appear in no `.rs`
+#      file under crates/, src/ or tests/. Every trial builds and drops
+#      its own engine; a buffer handed from one trial to the next is
+#      state that can leak between them.
 #  10. Sweep-planner differential gate: specs/ci_planner.toml (pruned)
 #      and specs/ci_planner_full.toml (the identical grid, planner off)
 #      drained through the service. The pruned run must actually save
@@ -382,6 +387,15 @@ echo "=== tier 2: one attempt loop ==="
 if grep -rn --include='*.rs' 'backoff_for(' crates src tests \
   | grep -v '^crates/stats/src/trials\.rs:'; then
   echo "ci.sh: backoff_for( outside crates/stats/src/trials.rs (above)" >&2; exit 1;
+fi
+
+echo "=== tier 2: fresh engines ==="
+# Engine buffers once passed from each trial to the next; the saving
+# measured about 0.06 ms of a 6-12 ms trial, and carried-over state is
+# a leak path. Keep the hand-over protocol from coming back.
+if grep -rnE --include='*.rs' 'new_reusing|boot_reusing|into_scratch|with_storage|into_storage|_stateful' \
+  crates src tests; then
+  echo "ci.sh: engine-reuse protocol names in the sources (above)" >&2; exit 1;
 fi
 
 echo "=== tier 2: sweep-planner differential gate ==="

@@ -104,12 +104,6 @@ impl MissStats {
             self.estimated_misses(component) / total_instructions as f64
         }
     }
-
-    /// Resets all counters (between trials).
-    pub fn reset(&mut self) {
-        self.misses = [0; 4];
-        self.masked_estimate = 0;
-    }
 }
 
 #[cfg(test)]
@@ -153,16 +147,5 @@ mod tests {
         s.count_masked();
         assert_eq!(s.masked(), 1);
         assert_eq!(s.raw_total(), 0);
-    }
-
-    #[test]
-    fn reset_zeroes_counts_but_keeps_expansion() {
-        let mut s = MissStats::new(8.0);
-        s.count_miss(Component::User);
-        s.count_masked();
-        s.reset();
-        assert_eq!(s.raw_total(), 0);
-        assert_eq!(s.masked(), 0);
-        assert_eq!(s.expansion(), 8.0);
     }
 }

@@ -72,7 +72,6 @@ pub struct Tapeworm {
     handler_cycles: u64,
     /// Victim-selection/re-trap + page registration share.
     replacement_cycles: u64,
-    pages_registered: u64,
     /// Victim displaced by the most recent `handle_miss`, if any.
     last_victim: Option<PhysAddr>,
     /// `cost.cycles_per_miss_split(&cfg)`, memoized: geometry and cost
@@ -110,7 +109,6 @@ impl Tapeworm {
             overhead_cycles: 0,
             handler_cycles: 0,
             replacement_cycles: 0,
-            pages_registered: 0,
             last_victim: None,
             miss_cost: cost.cycles_per_miss_split(&cfg),
             cost,
@@ -230,7 +228,6 @@ impl Tapeworm {
             return 0;
         }
         self.live_pages += 1;
-        self.pages_registered += 1;
         let base_pa = pfn.base(self.page_bytes);
         let line = self.cfg.line_bytes();
         let lines = self.page_bytes / line;
@@ -596,15 +593,6 @@ impl Tapeworm {
         }
         Ok(())
     }
-
-    /// Resets the counters and simulated cache, keeping geometry,
-    /// sampling and registrations (between measurement windows).
-    pub fn reset_counters(&mut self) {
-        self.stats.reset();
-        self.overhead_cycles = 0;
-        self.handler_cycles = 0;
-        self.replacement_cycles = 0;
-    }
 }
 
 /// Clips a trapped run of `avail` chunks by the remaining words `rem`
@@ -880,22 +868,5 @@ mod tests {
         let (mut tw, _) = setup(1024);
         tw.note_masked_miss();
         assert_eq!(tw.stats().masked(), 1);
-    }
-
-    #[test]
-    fn reset_counters_keeps_registrations() {
-        let (mut tw, mut traps) = setup(1024);
-        tw.tw_register_page(&mut traps, Tid::new(1), Pfn::new(0), 0);
-        tw.handle_miss(
-            &mut traps,
-            Component::User,
-            Tid::new(1),
-            VirtAddr::new(0),
-            PhysAddr::new(0),
-        );
-        tw.reset_counters();
-        assert_eq!(tw.stats().raw_total(), 0);
-        assert_eq!(tw.overhead_cycles(), 0);
-        assert_eq!(tw.registered_pages(), 1);
     }
 }

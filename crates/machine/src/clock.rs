@@ -79,13 +79,6 @@ impl IntervalClock {
         self.fired += n;
         n
     }
-
-    /// Resets time to zero (between experiment trials).
-    pub fn reset(&mut self) {
-        self.now = 0;
-        self.next_fire = self.period;
-        self.fired = 0;
-    }
 }
 
 #[cfg(test)]
@@ -121,16 +114,6 @@ mod tests {
             with += dilated.advance(150); // simulator overhead
         }
         assert!(with > without);
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut c = IntervalClock::new(50);
-        c.advance(500);
-        c.reset();
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.fired(), 0);
-        assert_eq!(c.advance(49), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`Machine`] — cycle-accounted access path: trap-map check per
 //!   reference, ECC-trap vectoring, interrupt masking (the paper's
-//!   masked-trap bias, §4.2), instruction counting.
+//!   masked-trap bias, §4.2), trap and breakpoint-check counting.
 //! * [`Tlb`] — an R3000-style software-managed TLB (64 entries, random
 //!   replacement) with the ~20-cycle software refill the paper cites.
 //! * [`Breakpoints`] — instruction/data breakpoint registers, the
@@ -37,7 +37,7 @@ pub mod trap;
 pub use bkpt::Breakpoints;
 pub use clock::IntervalClock;
 pub use dma::DmaEngine;
-pub use machine::{AccessKind, FetchOutcome, Machine, MachineConfig, MachineScratch};
+pub use machine::{AccessKind, FetchOutcome, Machine, MachineConfig};
 pub use monster::{Component, Monster};
 pub use tlb::{Tlb, TlbEntry, TlbOutcome};
 pub use trap::Trap;

@@ -1,17 +1,9 @@
 //! The assembled host machine.
 
-use tapeworm_mem::{PhysAddr, TrapMap, TrapStorage, VirtAddr, WritePolicy};
+use tapeworm_mem::{PhysAddr, TrapMap, VirtAddr, WritePolicy};
 
 use crate::bkpt::Breakpoints;
 use crate::clock::IntervalClock;
-
-/// Reusable heap allocations salvaged from a retired [`Machine`] via
-/// [`Machine::into_scratch`]; hand them to [`Machine::new_reusing`] to
-/// build the next trial's machine without reallocating its trap bitmap.
-#[derive(Debug, Default)]
-pub struct MachineScratch {
-    traps: TrapStorage,
-}
 
 /// The kind of memory access being performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +72,7 @@ impl Default for MachineConfig {
 }
 
 /// The simulated host machine: trap map, clock, breakpoint registers,
-/// interrupt mask and cycle/instruction counters.
+/// interrupt mask and cycle and trap counters.
 ///
 /// The machine is deliberately passive — the experiment loop in
 /// `tapeworm-sim` owns control flow and asks the machine what each
@@ -106,7 +98,6 @@ pub struct Machine {
     clock: IntervalClock,
     breakpoints: Breakpoints,
     interrupts_enabled: bool,
-    instret: u64,
     masked_ecc_skips: u64,
     write_traps_destroyed: u64,
     trap_entries: u64,
@@ -121,32 +112,16 @@ impl Machine {
     /// Panics if the configuration is internally inconsistent (zero
     /// clock period, non-power-of-two granule, …).
     pub fn new(config: MachineConfig) -> Self {
-        Self::new_reusing(config, MachineScratch::default())
-    }
-
-    /// Like [`Machine::new`], but reuses the buffers of `scratch` (from
-    /// a previous machine's [`Machine::into_scratch`]). State is
-    /// identical to a freshly built machine.
-    pub fn new_reusing(config: MachineConfig, scratch: MachineScratch) -> Self {
         Machine {
-            traps: TrapMap::with_storage(config.mem_bytes, config.trap_granule, scratch.traps),
+            traps: TrapMap::new(config.mem_bytes, config.trap_granule),
             clock: IntervalClock::new(config.clock_period),
             breakpoints: Breakpoints::new(config.breakpoint_registers),
             interrupts_enabled: true,
-            instret: 0,
             masked_ecc_skips: 0,
             write_traps_destroyed: 0,
             trap_entries: 0,
             breakpoint_checks: 0,
             config,
-        }
-    }
-
-    /// Tears the machine down to its reusable allocations for
-    /// [`Machine::new_reusing`].
-    pub fn into_scratch(self) -> MachineScratch {
-        MachineScratch {
-            traps: self.traps.into_storage(),
         }
     }
 
@@ -230,12 +205,6 @@ impl Machine {
         }
     }
 
-    /// Counts retired instructions (the Table 2 "instruction counter"
-    /// primitive).
-    pub fn retire(&mut self, instructions: u64) {
-        self.instret += instructions;
-    }
-
     /// `true` when the frame containing `pa` carries zero ECC traps —
     /// one O(1) load against the trap map's per-frame counts. When this
     /// holds, every access to the frame is [`FetchOutcome::Run`].
@@ -280,8 +249,8 @@ impl Machine {
         self.clock.cycles_until_fire()
     }
 
-    /// Retires a *clean run* in one call: `instructions` retired plus
-    /// the `chunk_accesses` breakpoint-register probes the slow path
+    /// Retires a *clean run* in one call: the `chunk_accesses`
+    /// breakpoint-register probes the slow path
     /// would have performed, so observability counters stay
     /// bit-identical whichever path executed. Valid only when the run
     /// is trap-free — its frame is clean ([`Machine::frame_clean`]) or
@@ -290,13 +259,12 @@ impl Machine {
     /// have been [`FetchOutcome::Run`] with exactly one breakpoint
     /// check.
     #[inline]
-    pub fn retire_clean_run(&mut self, instructions: u64, chunk_accesses: u64) {
-        self.instret += instructions;
+    pub fn retire_clean_run(&mut self, chunk_accesses: u64) {
         self.breakpoint_checks += chunk_accesses;
     }
 
-    /// Retires a *scheduled miss burst* in one call: `instructions`
-    /// retired plus `chunks` fetch probes, each of which would have
+    /// Retires a *scheduled miss burst* in one call: `chunks` fetch
+    /// probes, each of which would have
     /// taken the breakpoint check and then trapped (`trap_entries`
     /// when interrupts are enabled, `masked_ecc_skips` otherwise —
     /// the interrupt state is constant across a burst because the
@@ -305,22 +273,15 @@ impl Machine {
     /// granule trapped ([`Machine::trapped_run`] covers the burst)
     /// and no breakpoint overlaps it ([`Machine::breakpoints_in`]):
     /// then this is exactly `chunks` stepwise [`Machine::access`]
-    /// outcomes plus one [`Machine::retire`]. A unit test pins the
-    /// equivalence.
+    /// outcomes. A unit test pins the equivalence.
     #[inline]
-    pub fn retire_trapped_burst(&mut self, instructions: u64, chunks: u64) {
-        self.instret += instructions;
+    pub fn retire_trapped_burst(&mut self, chunks: u64) {
         self.breakpoint_checks += chunks;
         if self.interrupts_enabled {
             self.trap_entries += chunks;
         } else {
             self.masked_ecc_skips += chunks;
         }
-    }
-
-    /// Total retired instructions.
-    pub fn instructions(&self) -> u64 {
-        self.instret
     }
 
     /// Current cycle count (wall-clock time).
@@ -468,14 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn instruction_counter_accumulates() {
-        let mut m = machine();
-        m.retire(10);
-        m.retire(5);
-        assert_eq!(m.instructions(), 15);
-    }
-
-    #[test]
     fn frame_clean_tracks_trap_state() {
         let mut m = machine();
         assert!(m.frame_clean(PA));
@@ -490,20 +443,18 @@ mod tests {
 
     #[test]
     fn retire_clean_run_matches_slow_path_counters() {
-        // A clean-frame run retired in one batch must leave instret and
+        // A clean-frame run retired in one batch must leave
         // breakpoint_checks exactly where per-chunk dispatch would.
         let mut slow = machine();
         for chunk in 0..5u64 {
             let va = VirtAddr::new(0x1000 + chunk * 16);
             let pa = PhysAddr::new(0x2000 + chunk * 16);
             assert_eq!(slow.access(AccessKind::IFetch, va, pa), FetchOutcome::Run);
-            slow.retire(4);
         }
         let mut fast = machine();
         assert!(fast.frame_clean(PA));
         assert!(!fast.breakpoints_in(VA, 5 * 16));
-        fast.retire_clean_run(20, 5);
-        assert_eq!(fast.instructions(), slow.instructions());
+        fast.retire_clean_run(5);
         assert_eq!(fast.breakpoint_checks(), slow.breakpoint_checks());
     }
 
@@ -525,33 +476,16 @@ mod tests {
                     FetchOutcome::MaskedEccSkipped
                 };
                 assert_eq!(slow.access(AccessKind::IFetch, va, pa), want);
-                slow.retire(4);
             }
             let mut fast = machine();
             fast.traps_mut().set_range(PA, 5 * 16);
             fast.set_interrupts_enabled(enabled);
             assert_eq!(fast.trapped_run(PA, 5), 5);
             assert!(!fast.breakpoints_in(VA, 5 * 16));
-            fast.retire_trapped_burst(20, 5);
-            assert_eq!(fast.instructions(), slow.instructions());
+            fast.retire_trapped_burst(5);
             assert_eq!(fast.breakpoint_checks(), slow.breakpoint_checks());
             assert_eq!(fast.trap_entries(), slow.trap_entries());
             assert_eq!(fast.masked_ecc_skips(), slow.masked_ecc_skips());
         }
-    }
-
-    #[test]
-    fn scratch_reuse_builds_a_pristine_machine() {
-        let mut m = machine();
-        m.traps_mut().set_range(PA, 4096);
-        m.advance(12_345);
-        m.retire(99);
-        let cfg = *m.config();
-        let reused = Machine::new_reusing(cfg, m.into_scratch());
-        assert_eq!(reused.now(), 0);
-        assert_eq!(reused.instructions(), 0);
-        assert_eq!(reused.traps().count(), 0);
-        assert!(reused.frame_clean(PA));
-        assert_eq!(reused.traps(), Machine::new(cfg).traps());
     }
 }

@@ -56,5 +56,5 @@ pub use ecc::{Codec, Decoded};
 pub use frame::{ColoringAllocator, FrameAllocator, Pfn, RandomAllocator, SequentialAllocator};
 pub use page::{PageSize, PageSizeError, Pte};
 pub use phys::{EccMemory, MemoryEvent, OutOfRangeError, WritePolicy};
-pub use sparse::{SparseElem, SparseStats, SparseStorage, SparseVec, CHUNK_BYTES};
-pub use trapset::{TrapMap, TrapStorage};
+pub use sparse::{SparseElem, SparseStats, SparseVec, CHUNK_BYTES};
+pub use trapset::TrapMap;

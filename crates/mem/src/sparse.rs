@@ -63,26 +63,6 @@ impl SparseStats {
     }
 }
 
-/// Heap buffers salvaged from a retired [`SparseVec`] for
-/// [`SparseVec::with_storage`], mirroring the trap map's
-/// scratch-reuse protocol.
-#[derive(Debug)]
-pub struct SparseStorage<T> {
-    table: Vec<u32>,
-    arena: Vec<T>,
-}
-
-/// Empty buffers regardless of `T` (a derive would wrongly require
-/// `T: Default`).
-impl<T> Default for SparseStorage<T> {
-    fn default() -> Self {
-        SparseStorage {
-            table: Vec::new(),
-            arena: Vec::new(),
-        }
-    }
-}
-
 /// A logically dense `Vec<T>` of `len` elements over demand-allocated
 /// fixed-size chunks with canonical-fill-chunk dedup.
 ///
@@ -125,41 +105,18 @@ impl<T: SparseElem> SparseVec<T> {
 
     /// Creates a vector of `len` elements, all logically `fill`.
     pub fn new(len: usize, fill: T) -> Self {
-        Self::with_storage(len, fill, SparseStorage::default())
-    }
-
-    /// Like [`SparseVec::new`] but reusing the heap buffers of a
-    /// retired vector ([`SparseVec::into_storage`]). The result is
-    /// all-`fill` regardless of what the donor held.
-    pub fn with_storage(len: usize, fill: T, storage: SparseStorage<T>) -> Self {
         let chunk = Self::chunk_elems();
-        let SparseStorage {
-            mut table,
-            mut arena,
-        } = storage;
-        table.clear();
-        table.resize(len.div_ceil(chunk), 0);
-        arena.clear();
-        // Slot 0: the canonical fill chunk every untouched chunk shares.
-        arena.resize(chunk, fill);
         SparseVec {
             len,
             chunk,
             shift: chunk.trailing_zeros(),
             mask: chunk - 1,
             fill,
-            table,
-            arena,
+            table: vec![0; len.div_ceil(chunk)],
+            // Slot 0: the canonical fill chunk every untouched chunk shares.
+            arena: vec![fill; chunk],
             live_chunks: 0,
             chunk_faults: 0,
-        }
-    }
-
-    /// Tears the vector down to its reusable heap buffers.
-    pub fn into_storage(self) -> SparseStorage<T> {
-        SparseStorage {
-            table: self.table,
-            arena: self.arena,
         }
     }
 
@@ -171,11 +128,6 @@ impl<T: SparseElem> SparseVec<T> {
     /// `true` when the vector covers no elements.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The fill value untouched elements read as.
-    pub fn fill_value(&self) -> T {
-        self.fill
     }
 
     /// Number of logical chunks.
@@ -421,16 +373,5 @@ mod tests {
         assert_eq!(v.stats().chunk_faults, faults, "faults are lifetime");
         assert_eq!(v.load(600), 0);
         assert_eq!(v, SparseVec::new(1 << 16, 0));
-    }
-
-    #[test]
-    fn storage_reuse_yields_a_pristine_vector() {
-        let mut v: SparseVec<u32> = SparseVec::new(4096, 0);
-        v.store(7, 9);
-        let reused: SparseVec<u32> = SparseVec::with_storage(8192, 3, v.into_storage());
-        assert_eq!(reused.len(), 8192);
-        assert_eq!(reused.load(7), 3);
-        assert_eq!(reused.stats().chunks_allocated, 0);
-        assert_eq!(reused.stats().chunk_faults, 0);
     }
 }

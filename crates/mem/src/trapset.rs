@@ -16,7 +16,7 @@
 //! chunk.
 
 use crate::addr::PhysAddr;
-use crate::sparse::{SparseStats, SparseStorage, SparseVec};
+use crate::sparse::{SparseStats, SparseVec};
 
 /// A bitmap of trapped granules over a physical memory.
 ///
@@ -54,16 +54,6 @@ pub struct TrapMap {
     clear_events: u64,
 }
 
-/// Heap allocations salvaged from a retired [`TrapMap`], ready to be
-/// handed to [`TrapMap::with_storage`] so a fresh map over the same
-/// geometry reuses the buffers instead of reallocating. Used by the
-/// sweep engine's per-worker trial scratch.
-#[derive(Debug, Default)]
-pub struct TrapStorage {
-    bits: SparseStorage<u64>,
-    frame_counts: SparseStorage<u32>,
-}
-
 /// Equality is over trap *state* (geometry and armed granules), not
 /// the lifetime set/clear event counters — two maps that arrived at
 /// the same state along different paths compare equal. The bitmap
@@ -89,18 +79,6 @@ impl TrapMap {
     /// Panics if `granule` is zero or not a power of two, or if
     /// `mem_bytes` is not a multiple of `granule`.
     pub fn new(mem_bytes: u64, granule: u64) -> Self {
-        Self::with_storage(mem_bytes, granule, TrapStorage::default())
-    }
-
-    /// Like [`TrapMap::new`], but reuses the heap buffers of `storage`
-    /// (from [`TrapMap::into_storage`]) instead of allocating fresh
-    /// ones. The resulting map is all-clear regardless of what the
-    /// donor map held.
-    ///
-    /// # Panics
-    ///
-    /// Same geometry requirements as [`TrapMap::new`].
-    pub fn with_storage(mem_bytes: u64, granule: u64, storage: TrapStorage) -> Self {
         assert!(
             granule.is_power_of_two(),
             "trap granule must be a power of two"
@@ -110,35 +88,15 @@ impl TrapMap {
             "memory size must be a whole number of granules"
         );
         let granules = mem_bytes / granule;
-        let (words, frames) = Self::backing_lens(mem_bytes, granule);
-        let TrapStorage { bits, frame_counts } = storage;
         TrapMap {
-            bits: SparseVec::with_storage(words, 0, bits),
+            bits: SparseVec::new(granules.div_ceil(64) as usize, 0),
             granule,
             shift: granule.trailing_zeros(),
             granules,
             count: 0,
-            frame_counts: SparseVec::with_storage(frames, 0, frame_counts),
+            frame_counts: SparseVec::new(mem_bytes.div_ceil(Self::FRAME_BYTES) as usize, 0),
             set_events: 0,
             clear_events: 0,
-        }
-    }
-
-    /// Lengths of the bitmap (in `u64` words) and of the per-frame
-    /// counts for a geometry.
-    fn backing_lens(mem_bytes: u64, granule: u64) -> (usize, usize) {
-        (
-            (mem_bytes / granule).div_ceil(64) as usize,
-            mem_bytes.div_ceil(Self::FRAME_BYTES) as usize,
-        )
-    }
-
-    /// Tears the map down to its reusable heap buffers for
-    /// [`TrapMap::with_storage`].
-    pub fn into_storage(self) -> TrapStorage {
-        TrapStorage {
-            bits: self.bits.into_storage(),
-            frame_counts: self.frame_counts.into_storage(),
         }
     }
 
@@ -202,11 +160,6 @@ impl TrapMap {
             return false;
         }
         self.bits.load((g / 64) as usize) & (1 << (g % 64)) != 0
-    }
-
-    /// Index of the granule containing `pa`.
-    pub fn granule_index(&self, pa: PhysAddr) -> u64 {
-        pa.raw() >> self.shift
     }
 
     /// Recomputes the trapped-granule count from the bitmap itself —
@@ -866,21 +819,6 @@ mod tests {
         assert_eq!(t.frame_trapped(PhysAddr::new(1 << 40)), 0);
     }
 
-    #[test]
-    fn storage_reuse_yields_a_pristine_map() {
-        let mut t = TrapMap::new(8 * 4096, 16);
-        t.set_range(PhysAddr::new(0), 8 * 4096);
-        let reused = TrapMap::with_storage(8 * 4096, 16, t.into_storage());
-        assert_eq!(reused.count(), 0);
-        assert_eq!(reused.set_events(), 0);
-        assert!(reused.frame_clean(PhysAddr::new(0)));
-        assert_eq!(reused, TrapMap::new(8 * 4096, 16));
-        // Regrowing into a different geometry must also work.
-        let regrown = TrapMap::with_storage(32 * 4096, 64, reused.into_storage());
-        assert_eq!(regrown.granules(), 32 * 4096 / 64);
-        assert!(regrown.frame_clean(PhysAddr::new(31 * 4096)));
-    }
-
     /// The wide scan must agree with a granule-by-granule reference at
     /// every boundary class: spans ending exactly at bitmap-word edges
     /// (64 granules), scan-chunk edges (512 granules), frame edges, and
@@ -1198,15 +1136,5 @@ mod tests {
         t.clear_all();
         assert_eq!(t.sparse_stats().chunks_allocated, 0);
         assert_eq!(t.sparse_stats().chunk_faults, 0);
-    }
-
-    #[test]
-    fn storage_reuse_from_a_fully_trapped_map_stays_pristine() {
-        let mut full = TrapMap::new(8 * 4096, 16);
-        full.set_range(PhysAddr::new(0), 8 * 4096);
-        let reused = TrapMap::with_storage(8 * 4096, 16, full.into_storage());
-        assert_eq!(reused.count(), 0);
-        assert_eq!(reused.sparse_stats().chunks_allocated, 0);
-        assert_eq!(reused, TrapMap::new(8 * 4096, 16));
     }
 }

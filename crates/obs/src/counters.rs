@@ -38,8 +38,9 @@ pub enum CounterId {
     TrialPanics,
     /// Trials that exhausted their retry budget.
     TrialsFailed,
-    /// Worker states discarded (re-inited, or a worker process
-    /// respawned) after a contained panic.
+    /// Contained panics, each costing its attempt's worker: an
+    /// in-process worker holds no state and just drops the trial's
+    /// engine, a worker process is respawned. One per contained panic.
     WorkersRespawned,
     /// Clock ticks that fired but were discarded because more than the
     /// deliverable bound arrived in one interval (the previously-silent

@@ -5,7 +5,7 @@ use tapeworm_machine::Component;
 use tapeworm_mem::{FrameAllocator, PageSize, PhysAddr, VirtAddr};
 
 use crate::task::{TapewormAttrs, TaskError, TaskTable, Tid};
-use crate::vm::{OutOfMemoryError, Translation, Vm, VmEvent, VmScratch};
+use crate::vm::{OutOfMemoryError, Translation, Vm, VmEvent};
 
 /// OS boot configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,17 +79,6 @@ pub struct Os {
 impl Os {
     /// Boots the kernel and the BSD / X server tasks.
     pub fn boot(config: OsConfig, allocator: Box<dyn FrameAllocator>) -> Self {
-        Self::boot_reusing(config, allocator, VmScratch::default())
-    }
-
-    /// Like [`Os::boot`], but the VM system reuses the buffers of
-    /// `scratch` (from a previous kernel's [`Os::into_scratch`]).
-    /// Booted state is identical to a fresh [`Os::boot`].
-    pub fn boot_reusing(
-        config: OsConfig,
-        allocator: Box<dyn FrameAllocator>,
-        scratch: VmScratch,
-    ) -> Self {
         let mut tasks = TaskTable::new();
         let bsd = tasks
             .spawn(None, Component::BsdServer)
@@ -99,16 +88,10 @@ impl Os {
             .expect("fresh table has room for the X server");
         Os {
             tasks,
-            vm: Vm::new_reusing(config.page_size, allocator, scratch),
+            vm: Vm::new(config.page_size, allocator),
             bsd,
             x,
         }
-    }
-
-    /// Tears the kernel down to the VM system's reusable allocations
-    /// for [`Os::boot_reusing`].
-    pub fn into_scratch(self) -> VmScratch {
-        self.vm.into_scratch()
     }
 
     /// The BSD UNIX server task.

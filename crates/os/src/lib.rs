@@ -33,4 +33,4 @@ pub mod vm;
 
 pub use kernel::{Os, OsConfig, Touch};
 pub use task::{TapewormAttrs, Task, TaskError, TaskTable, Tid};
-pub use vm::{OutOfMemoryError, Translation, Vm, VmEvent, VmScratch};
+pub use vm::{OutOfMemoryError, Translation, Vm, VmEvent};

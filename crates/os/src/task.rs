@@ -99,11 +99,6 @@ impl Task {
     pub fn component(&self) -> Component {
         self.component
     }
-
-    /// `true` until the task exits.
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
 }
 
 /// Task-table operation failures.

@@ -32,7 +32,7 @@ use std::error::Error;
 use std::fmt;
 
 use tapeworm_mem::{
-    FrameAllocator, PageSize, Pfn, PhysAddr, Pte, SparseStats, SparseStorage, SparseVec, VirtAddr,
+    FrameAllocator, PageSize, Pfn, PhysAddr, Pte, SparseStats, SparseVec, VirtAddr,
 };
 
 use crate::task::Tid;
@@ -119,15 +119,6 @@ struct PageTable {
 }
 
 impl PageTable {
-    /// Empties the table while keeping the dense window's and overflow
-    /// list's heap capacity (scratch reuse across trials).
-    fn reset(&mut self) {
-        self.base_vpn = 0;
-        self.dense.clear();
-        self.sparse.clear();
-        self.live = 0;
-    }
-
     #[inline]
     fn get(&self, vpn: u64) -> Option<Pte> {
         if vpn >= self.base_vpn {
@@ -270,18 +261,6 @@ impl TcEntry {
     };
 }
 
-/// Reusable heap allocations salvaged from a retired [`Vm`] via
-/// [`Vm::into_scratch`]: per-task page tables (dense windows keep
-/// their capacity), the frame refcount vector and the translation
-/// cache. Hand it to [`Vm::new_reusing`] to boot the next trial's VM
-/// without rebuilding those buffers.
-#[derive(Debug, Default)]
-pub struct VmScratch {
-    tables: Vec<PageTable>,
-    frame_refs: SparseStorage<u32>,
-    tcache: Vec<TcEntry>,
-}
-
 /// Per-task page tables over a pluggable frame allocator.
 ///
 /// # Examples
@@ -326,50 +305,17 @@ impl Vm {
     /// Creates a VM with the given page size and frame allocator. The
     /// frame refcount vector commits chunks only as frames are mapped.
     pub fn new(page_size: PageSize, allocator: Box<dyn FrameAllocator>) -> Self {
-        Self::new_reusing(page_size, allocator, VmScratch::default())
-    }
-
-    /// Like [`Vm::new`], but reuses the buffers of `scratch` (from a
-    /// previous VM's [`Vm::into_scratch`]). State is identical to a
-    /// freshly built VM: every table is emptied, refcounts and the
-    /// translation cache are reset.
-    pub fn new_reusing(
-        page_size: PageSize,
-        allocator: Box<dyn FrameAllocator>,
-        scratch: VmScratch,
-    ) -> Self {
-        let VmScratch {
-            mut tables,
-            frame_refs,
-            mut tcache,
-        } = scratch;
-        for table in &mut tables {
-            table.reset();
-        }
-        let frame_refs = SparseVec::with_storage(allocator.capacity(), 0, frame_refs);
-        tcache.clear();
-        tcache.resize(TCACHE_SLOTS, TcEntry::EMPTY);
         Vm {
             page_size,
             page_bytes: page_size.bytes(),
-            frame_refs,
+            frame_refs: SparseVec::new(allocator.capacity(), 0),
             allocator,
-            tables,
-            tcache,
+            tables: Vec::new(),
+            tcache: vec![TcEntry::EMPTY; TCACHE_SLOTS],
             faults: 0,
             tc_hits: 0,
             tc_misses: 0,
             walks: Cell::new(0),
-        }
-    }
-
-    /// Tears the VM down to its reusable allocations for
-    /// [`Vm::new_reusing`].
-    pub fn into_scratch(self) -> VmScratch {
-        VmScratch {
-            tables: self.tables,
-            frame_refs: self.frame_refs.into_storage(),
-            tcache: self.tcache,
         }
     }
 
@@ -813,40 +759,6 @@ mod tests {
         assert_eq!(vm.tc_hits(), 2, "repeat lookups hit the cache");
         // Walks: the caching miss, the direct translate() above.
         assert_eq!(vm.walks(), 2);
-    }
-
-    #[test]
-    fn scratch_reuse_boots_a_pristine_vm() {
-        let mut donor = vm(8);
-        for vpn in [3u64, 9, MAX_DENSE_SPAN * 5] {
-            donor.map_new(T1, vpn).unwrap();
-        }
-        donor.map_new(T2, 4).unwrap();
-        donor.translate_cached(T1, VirtAddr::new(3 * 4096));
-        let reused = Vm::new_reusing(
-            PageSize::DEFAULT,
-            Box::new(SequentialAllocator::new(8)),
-            donor.into_scratch(),
-        );
-        let mut reused = reused;
-        assert_eq!(reused.faults(), 0);
-        assert_eq!(reused.tc_hits(), 0);
-        assert_eq!(reused.resident_pages(T1), 0);
-        assert_eq!(reused.resident_pages(T2), 0);
-        assert_eq!(reused.free_frames(), 8);
-        // Stale translations must not survive: every lookup of the
-        // donor's mappings is a genuine fault now.
-        for vpn in [3u64, 9, MAX_DENSE_SPAN * 5, 4] {
-            assert_eq!(
-                reused.translate_cached(T1, VirtAddr::new(vpn * 4096)),
-                Translation::NotMapped
-            );
-        }
-        // And the reused VM behaves exactly like a fresh one.
-        let (pfn, _) = reused.map_new(T1, 3).unwrap();
-        let mut fresh = vm(8);
-        let (fresh_pfn, _) = fresh.map_new(T1, 3).unwrap();
-        assert_eq!(pfn, fresh_pfn);
     }
 
     /// O(1) bump allocator so a huge-capacity test does not pay

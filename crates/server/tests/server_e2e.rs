@@ -7,13 +7,16 @@
 //! ci.sh gates on.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tapeworm_server::{
     digest_outcomes, BackendOptions, FaultStats, InProcessBackend, ServiceOptions,
     SubprocessBackend, SweepPlan, SweepService, WorkerBackend, ENV_EXIT_INDEX, ENV_FAIL_INDEX,
 };
-use tapeworm_sim::{run_sweep_resilient_observed, save_outcomes, FaultPlan, SweepOptions};
+use tapeworm_sim::{
+    run_sweep_resilient, run_sweep_resilient_observed, save_outcomes, CheckpointConfig, FaultPlan,
+    SweepOptions,
+};
 
 /// The pinned digest of `specs/ci_smoke.toml`. Also pinned in the root
 /// `tests/server_e2e.rs` and in ci.sh; move all three together, and
@@ -141,46 +144,86 @@ fn injected_worker_crash_respawns_without_moving_the_digest() {
     assert_eq!((report.stats, report.digest), engine);
 }
 
-/// A committed prefix left by a dead worker is resumed, not
-/// recomputed: the subprocess backend replays it and only computes the
-/// remainder, with the same digest.
-#[test]
-fn subprocess_backend_resumes_a_committed_prefix() {
-    let spec = ci_smoke_spec();
-    let plan = SweepPlan::resolve(&spec).unwrap();
-    let total = plan.total();
-
-    // Fabricate the first 6 cells exactly as a crashed run would have
-    // committed them.
-    let reference = worker_backend()
-        .run(&plan, &BackendOptions::default())
-        .unwrap();
-    let checkpoint = temp_root("resume").join("checkpoint.json");
-    save_outcomes(
-        &checkpoint,
-        plan.sweep_id(),
-        total,
-        &reference.outcomes[..6],
-    )
-    .unwrap();
-
-    let resumed = worker_backend()
+/// Resumes `checkpoint` through `backend` and checks the resume
+/// contract: the `k` committed cells are replayed, only the remainder
+/// is computed, the digest is the golden one, and completion removes
+/// the checkpoint.
+fn assert_resumes(backend: &dyn WorkerBackend, plan: &SweepPlan, checkpoint: &Path, k: usize) {
+    let resumed = backend
         .run(
-            &plan,
+            plan,
             &BackendOptions {
-                checkpoint: Some(checkpoint.clone()),
+                checkpoint: Some(checkpoint.to_path_buf()),
                 ..BackendOptions::default()
             },
         )
         .unwrap();
-    assert_eq!(resumed.resumed, 6);
-    assert_eq!(resumed.stats.trials_computed, (total - 6) as u64);
+    let name = backend.name();
+    assert_eq!(resumed.resumed, k, "{name}: prefix {k} not replayed");
+    assert_eq!(
+        resumed.stats.trials_computed,
+        (plan.total() - k) as u64,
+        "{name}: prefix {k} recomputed"
+    );
     assert_eq!(
         digest_outcomes(&resumed.outcomes),
         CI_SMOKE_GOLDEN_DIGEST,
-        "resume changed committed bits"
+        "{name}: resuming prefix {k} changed committed bits"
     );
-    // Completion removes the checkpoint.
-    assert!(!checkpoint.exists());
+    assert!(!checkpoint.exists(), "{name}: prefix {k} checkpoint kept");
+}
+
+/// A committed prefix left by a dead worker is resumed, not
+/// recomputed, wherever the kill landed: for every prefix length
+/// `0..=total`, both backends replay it and compute only the
+/// remainder, with the golden digest.
+#[test]
+fn every_committed_prefix_resumes_on_both_backends() {
+    let spec = ci_smoke_spec();
+    let plan = SweepPlan::resolve(&spec).unwrap();
+    let total = plan.total();
+    assert_eq!(total, 16, "ci_smoke is a 16-cell grid");
+
+    // Fabricate each prefix exactly as a crashed run would have
+    // committed it.
+    let reference = worker_backend()
+        .run(&plan, &BackendOptions::default())
+        .unwrap();
+    let checkpoint = temp_root("resume").join("checkpoint.json");
+    let backends: [&dyn WorkerBackend; 2] = [&worker_backend(), &InProcessBackend];
+    for k in 0..=total {
+        for backend in backends {
+            save_outcomes(
+                &checkpoint,
+                plan.sweep_id(),
+                total,
+                &reference.outcomes[..k],
+            )
+            .unwrap();
+            assert_resumes(backend, &plan, &checkpoint, k);
+        }
+    }
+    fs::remove_dir_all(checkpoint.parent().unwrap()).unwrap();
+}
+
+/// A prefix the sweep engine itself wrote when killed (deterministic
+/// `stop_after`) resumes through the subprocess backend: prefixes
+/// written by either backend are interchangeable.
+#[test]
+fn an_engine_written_prefix_resumes_on_the_subprocess_backend() {
+    let spec = ci_smoke_spec();
+    let plan = SweepPlan::resolve(&spec).unwrap();
+    let k = 7;
+    let checkpoint = temp_root("engine-prefix").join("checkpoint.json");
+    let killed = run_sweep_resilient(
+        plan.configs(),
+        plan.trials(),
+        plan.base(),
+        &SweepOptions::default()
+            .with_checkpoint(CheckpointConfig::new(&checkpoint).with_stop_after(k)),
+    );
+    assert_eq!(killed.stopped_after(), Some(k));
+    assert!(checkpoint.exists(), "the killed engine left its prefix");
+    assert_resumes(&worker_backend(), &plan, &checkpoint, k);
     fs::remove_dir_all(checkpoint.parent().unwrap()).unwrap();
 }

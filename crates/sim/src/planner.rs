@@ -52,7 +52,7 @@
 use tapeworm_core::Indexing;
 use tapeworm_obs::{CounterId, Counters};
 use tapeworm_stats::ci::{mean_ci, MeanCi};
-use tapeworm_stats::trials::{attempt_trial_with_state, FaultStats};
+use tapeworm_stats::trials::{attempt_trial, FailureKind, FaultStats};
 use tapeworm_stats::{OnlineStats, SeedSeq};
 
 use crate::checkpoint::{sweep_fingerprint, TrialOutcome};
@@ -62,7 +62,6 @@ use crate::sweep::{
     fold_outcomes, run_cell_attempt, run_sweep_resilient_observed, FailedTrial, SweepOptions,
     TrialSummary,
 };
-use crate::system::TrialScratch;
 
 /// Simulated page size the conflict model scores against (the OS page).
 const PAGE_BYTES: u64 = 4096;
@@ -186,11 +185,6 @@ pub enum PlannedCell {
 }
 
 impl PlannedCell {
-    /// Whether this cell is an estimate rather than ground truth.
-    pub fn is_estimated(&self) -> bool {
-        matches!(self, PlannedCell::Interpolated(_))
-    }
-
     /// Mean total miss count: measured for simulated cells, estimated
     /// for interpolated ones.
     pub fn misses_mean(&self) -> f64 {
@@ -246,14 +240,6 @@ impl PlannedOutcome {
     /// Scheduler-equivalent fault and work accounting.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.stats
-    }
-
-    /// The planner's sweep-level counters (`cells_simulated`,
-    /// `cells_interpolated`, `trials_saved`, `ci_early_stops`), kept
-    /// separate from per-trial metrics so committed trial values stay
-    /// bit-identical to a full sweep's.
-    pub fn planner_counters(&self) -> &Counters {
-        &self.counters
     }
 
     /// Cells run through the trap-driven simulator.
@@ -529,7 +515,6 @@ fn run_pruned(
     let mut failed: Vec<FailedTrial> = Vec::new();
     let mut stats = FaultStats::default();
     let mut counters = Counters::new();
-    let mut scratch = None;
     // Pass 1: simulate the planned cells, adaptively.
     let mut simulated: Vec<Option<PlannedCell>> = vec![None; configs.len()];
     for (c, decision) in decisions.iter().enumerate() {
@@ -542,15 +527,10 @@ fn run_pruned(
         let mut t = 0;
         while t < trials {
             let index = c * trials + t;
-            let (outcome, delta) = attempt_trial_with_state(
-                options.retry,
-                index,
-                &mut scratch,
-                TrialScratch::new,
-                |scratch, i, attempt| {
-                    run_cell_attempt(configs, trials, base, i, attempt, options, scratch)
-                },
-            );
+            let (outcome, delta) = attempt_trial(options.retry, index, |attempt| {
+                run_cell_attempt(configs, trials, base, index, attempt, options)
+                    .map_err(FailureKind::Error)
+            });
             stats.merge(&delta);
             if let Ok((result, _)) = &outcome {
                 miss_acc.push(result.total_misses());

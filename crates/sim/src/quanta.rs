@@ -392,31 +392,27 @@ fn host_cpus() -> usize {
 /// in order, stopping at the first error. Inline, one thread fills a
 /// block and then runs it; with `helper`, the same fill runs ahead on a
 /// scoped helper thread and hands blocks over a bounded channel, the
-/// emptied ones coming back for reuse. `blocks` lends the block
-/// buffers and gets them back for the next trial.
+/// emptied ones coming back for reuse within the trial.
 pub(crate) fn drive<E>(
     mut source: QuantumSource,
-    blocks: &mut Vec<QuantumBlock>,
     helper: bool,
     mut run: impl FnMut(&QuantumBlock) -> Result<(), E>,
 ) -> Result<(), E> {
     if !helper {
-        let mut block = blocks.pop().unwrap_or_else(QuantumBlock::new);
+        let mut block = QuantumBlock::new();
         let mut out = Ok(());
         while out.is_ok() && !source.is_done() {
             source.fill(&mut block);
             out = run(&block);
         }
-        blocks.push(block);
         return out;
     }
     HELPER_TRIALS.fetch_add(1, Ordering::Relaxed);
-    blocks.resize_with(HELPER_BLOCKS, QuantumBlock::new);
     let (full_tx, full_rx) = mpsc::sync_channel::<QuantumBlock>(HELPER_BLOCKS);
     let (free_tx, free_rx) = mpsc::sync_channel::<QuantumBlock>(HELPER_BLOCKS);
-    for block in blocks.drain(..) {
+    for _ in 0..HELPER_BLOCKS {
         free_tx
-            .send(block)
+            .send(QuantumBlock::new())
             .expect("the free channel holds every block");
     }
     std::thread::scope(|scope| {
@@ -429,7 +425,6 @@ pub(crate) fn drive<E>(
                         break;
                     }
                 }
-                free_rx
             })
             .expect("spawn the schedule helper thread");
         let mut out = Ok(());
@@ -438,8 +433,8 @@ pub(crate) fn drive<E>(
             if out.is_err() {
                 break;
             }
-            // The helper may already be gone at the schedule's end; its
-            // receiver lives on in its return value until the join.
+            // The helper may already be gone at the schedule's end; the
+            // send then fails and the block is dropped.
             let _ = free_tx.send(block);
         }
         // Close both channel ends before the join, so a helper waiting
@@ -447,10 +442,9 @@ pub(crate) fn drive<E>(
         // returns instead of blocking the join forever.
         drop(full_rx);
         drop(free_tx);
-        let free_rx = filler
+        filler
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        blocks.extend(free_rx.try_iter());
         out
     })
 }
@@ -498,24 +492,23 @@ mod tests {
     }
 
     /// Every quantum and data reference `drive` hands to its runner.
-    fn driven(helper: bool) -> (Vec<Quantum>, Vec<DataRef>, usize) {
+    fn driven(helper: bool) -> (Vec<Quantum>, Vec<DataRef>) {
         let spec = Workload::Ousterhout.spec();
         let source = QuantumSource::new(spec, 2_000, true, SeedSeq::new(5));
         let (mut quanta, mut data) = (Vec::new(), Vec::new());
-        let mut blocks = Vec::new();
-        drive(source, &mut blocks, helper, |block| {
+        drive(source, helper, |block| {
             quanta.extend_from_slice(&block.quanta);
             data.extend_from_slice(&block.data);
             Ok::<(), ()>(())
         })
         .expect("the runner never fails");
-        (quanta, data, blocks.len())
+        (quanta, data)
     }
 
     #[test]
     fn helper_and_inline_drives_hand_over_the_same_schedule() {
-        let (inline_q, inline_d, inline_blocks) = driven(false);
-        let (helper_q, helper_d, helper_blocks) = driven(true);
+        let (inline_q, inline_d) = driven(false);
+        let (helper_q, helper_d) = driven(true);
         assert!(
             inline_q.len() > 2 * BLOCK_QUANTA,
             "the schedule spans blocks"
@@ -523,9 +516,6 @@ mod tests {
         assert!(!inline_d.is_empty(), "a split schedule carries data refs");
         assert_eq!(inline_q, helper_q);
         assert_eq!(inline_d, helper_d);
-        // Block buffers come back for the next trial.
-        assert_eq!(inline_blocks, 1);
-        assert_eq!(helper_blocks, HELPER_BLOCKS);
     }
 
     /// The runner fails while the helper still has blocks to fill, so
@@ -537,7 +527,7 @@ mod tests {
         for helper in [false, true] {
             let source = QuantumSource::new(spec, 200, false, SeedSeq::new(1));
             let mut calls = 0;
-            let out = drive(source, &mut Vec::new(), helper, |_| {
+            let out = drive(source, helper, |_| {
                 calls += 1;
                 if calls == 2 {
                     Err("out of frames")
@@ -558,7 +548,7 @@ mod tests {
         let spec = Workload::MpegPlay.spec();
         let source = QuantumSource::new(spec, 200, false, SeedSeq::new(1));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive(source, &mut Vec::new(), true, |_| -> Result<(), ()> {
+            drive(source, true, |_| -> Result<(), ()> {
                 panic!("injected runner panic")
             })
         }));

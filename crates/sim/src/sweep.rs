@@ -44,7 +44,7 @@ use crate::config::SystemConfig;
 use crate::fault::FaultPlan;
 use crate::quanta::RunningTrials;
 use crate::result::TrialResult;
-use crate::system::{try_run_trial_observed_reusing, ObsConfig, TrialScratch};
+use crate::system::{try_run_trial_observed, ObsConfig};
 
 /// Per-configuration outcome of a sweep: the raw trial results in trial
 /// order plus ready-made summaries of the two headline metrics.
@@ -344,7 +344,7 @@ impl<'a> Fold<'a> {
 
 /// Runs attempt `attempt` of cell `index` exactly as the resilient
 /// engine does: `options.faults` first (an injected panic or typed
-/// watchdog failure), then the trial on the caller's scratch. The
+/// watchdog failure), then the trial on a freshly built engine. The
 /// planner's pruned pass runs its simulated cells through this too.
 pub(crate) fn run_cell_attempt(
     configs: &[SystemConfig],
@@ -353,7 +353,6 @@ pub(crate) fn run_cell_attempt(
     index: usize,
     attempt: u32,
     options: &SweepOptions,
-    scratch: &mut TrialScratch,
 ) -> Result<(TrialResult, TrialMetrics), String> {
     if options.faults.should_panic(index, attempt) {
         panic!("injected fault: panic on trial {index} attempt {attempt}");
@@ -367,8 +366,7 @@ pub(crate) fn run_cell_attempt(
     let c = index / trials;
     let t = (index % trials) as u64;
     let trial = base.derive("sweep-config", c as u64).derive("trial", t);
-    try_run_trial_observed_reusing(&configs[c], base, trial, options.obs, scratch)
-        .map_err(|e| e.to_string())
+    try_run_trial_observed(&configs[c], base, trial, options.obs).map_err(|e| e.to_string())
 }
 
 /// Runs one `(config, trial)` cell of the `configs × trials` grid in
@@ -394,8 +392,8 @@ pub fn run_sweep_cell(
 ) -> Result<(TrialResult, TrialMetrics), String> {
     assert!(trials > 0, "a sweep needs at least one trial per config");
     assert!(index < configs.len() * trials, "cell index out of range");
-    let (options, mut scratch) = (SweepOptions::default().with_obs(obs), TrialScratch::new());
-    run_cell_attempt(configs, trials, base, index, 0, &options, &mut scratch)
+    let options = SweepOptions::default().with_obs(obs);
+    run_cell_attempt(configs, trials, base, index, 0, &options)
 }
 
 /// Folds per-trial outcomes (index order `0..n`) into per-configuration
@@ -425,11 +423,12 @@ pub fn fold_outcomes(
 ///
 /// Fault tolerance: each `(config, trial)` cell is attempted up to
 /// `options.retry.max_attempts` times; panics and typed errors are
-/// contained by the scheduler (a panicked worker re-inits its scratch
-/// and retries) and the sweep completes with [`SweepOutcome::failed`]
-/// listing any trial that exhausted the budget. Retried attempts
-/// recompute a pure function of the trial index, so committed values
-/// are bit-identical to a fault-free run's for every thread count.
+/// contained by the scheduler (the panicked trial's engine is dropped
+/// and the retry builds a fresh one) and the sweep completes with
+/// [`SweepOutcome::failed`] listing any trial that exhausted the
+/// budget. Retried attempts recompute a pure function of the trial
+/// index, so committed values are bit-identical to a fault-free run's
+/// for every thread count.
 ///
 /// Checkpointing: with `options.checkpoint` set, the committed prefix
 /// is rewritten atomically every `interval` commits; with `resume` the
@@ -511,18 +510,10 @@ pub fn run_sweep_resilient_observed(
     // count them from the start, so the first trial does not take a
     // helper thread's core that a sibling worker is about to need.
     let _siblings = RunningTrials::enter(scheduler.threads().min(limit - offset).saturating_sub(1));
-    let stats = scheduler.run_committed_resilient_stateful(
+    let stats = scheduler.run_committed_resilient(
         limit - offset,
         options.retry,
-        // Per-worker scratch: page tables, trap bitmaps and reference
-        // buffers survive from one trial to the next instead of being
-        // reallocated per cell. Reuse is bit-identical by construction
-        // (pinned by the fast-path differential tests), so the committed
-        // sweep output is unchanged.
-        TrialScratch::new,
-        |scratch, k, attempt| {
-            run_cell_attempt(configs, trials, base, k + offset, attempt, options, scratch)
-        },
+        |k, attempt| run_cell_attempt(configs, trials, base, k + offset, attempt, options),
         |k, outcome| {
             let index = k + offset;
             let outcome = outcome.map_err(|mut failure| {

@@ -98,32 +98,19 @@ pub fn try_run_trial(
     base: SeedSeq,
     trial: SeedSeq,
 ) -> Result<TrialResult, TrialError> {
-    let mut scratch = TrialScratch::new();
-    Ok(run_trial_core(cfg, base, trial, 0, None, &mut scratch, Dispatch::Auto)?.0)
+    Ok(run_trial_core(cfg, base, trial, 0, None, Dispatch::Auto)?.0)
 }
 
-/// Persistent per-worker scratch: the heap allocations of one trial's
-/// engine (trap bitmap and frame counts, page tables, translation
-/// cache, quantum-schedule blocks), salvaged when the trial finishes and
-/// reused by the next one. A sweep worker that runs hundreds of trials
-/// builds these buffers once instead of once per trial — the
-/// thread-scaling fix — while the simulation itself stays bit-identical
-/// (every buffer is reset to boot state on reuse, pinned by tests).
-///
-/// Not shared between threads: each worker owns one.
+/// An empty stand-in for the per-worker engine buffers trials once
+/// handed on to the next trial. Every trial now builds and drops its
+/// own engine (DESIGN §11), so this holds nothing; it stays, with
+/// [`try_run_trial_observed_reusing`], only because the repository
+/// benchmark (`twbench/`) still names both.
 #[derive(Debug, Default)]
-pub struct TrialScratch {
-    machine: Option<tapeworm_machine::MachineScratch>,
-    vm: Option<tapeworm_os::VmScratch>,
-    /// Quantum-schedule blocks, with their data-reference buffers.
-    blocks: Vec<QuantumBlock>,
-    /// Burst-service scratch (the per-burst victim list); cleared on
-    /// reuse, like every other buffer here.
-    sched: Option<MissSchedule>,
-}
+pub struct TrialScratch {}
 
 impl TrialScratch {
-    /// An empty scratch; the first trial populates it.
+    /// The empty stand-in.
     pub fn new() -> Self {
         TrialScratch::default()
     }
@@ -144,16 +131,15 @@ enum Dispatch {
     Helper,
 }
 
-/// Runs one trial with every optional collector threaded through, and
-/// recycles the engine's allocations back into `scratch` on the way
-/// out. All public trial entry points funnel here.
+/// Runs one trial on a freshly built engine with every optional
+/// collector threaded through. All public trial entry points funnel
+/// here.
 fn run_trial_core(
     cfg: &SystemConfig,
     base: SeedSeq,
     trial: SeedSeq,
     ring_capacity: usize,
     window_instructions: Option<u64>,
-    scratch: &mut TrialScratch,
     dispatch: Dispatch,
 ) -> Result<(TrialResult, Vec<WindowSample>, TrialMetrics), TrialError> {
     let running = RunningTrials::enter(1);
@@ -164,19 +150,14 @@ fn run_trial_core(
         Dispatch::Inline => false,
         Dispatch::Helper => true,
     };
-    // An engine that fails to boot (OutOfFrames during text pre-map)
-    // consumes the scratch; the next trial simply reallocates. That
-    // path is cold and already aborting the trial.
-    let mut engine = Engine::new(cfg, base, trial, source.users_created(), scratch)?;
+    let mut engine = Engine::new(cfg, base, trial, source.users_created())?;
     if ring_capacity > 0 {
         engine.ring = TrapRing::new(ring_capacity);
     }
     if let Some(period) = window_instructions {
         engine.window = Some((period, Vec::new()));
     }
-    let out = engine.run_collect(source, &mut scratch.blocks, helper);
-    engine.recycle(scratch);
-    out
+    engine.run_collect(source, helper)
 }
 
 /// Observability options for [`run_trial_observed`].
@@ -239,14 +220,13 @@ pub fn try_run_trial_observed(
     trial: SeedSeq,
     obs: ObsConfig,
 ) -> Result<(TrialResult, TrialMetrics), TrialError> {
-    let mut scratch = TrialScratch::new();
-    try_run_trial_observed_reusing(cfg, base, trial, obs, &mut scratch)
+    run_trial_core(cfg, base, trial, obs.ring_capacity, None, Dispatch::Auto)
+        .map(|(r, _, m)| (r, m))
 }
 
-/// Like [`try_run_trial_observed`], but reuses (and refills) a
-/// persistent [`TrialScratch`], so a worker running many trials
-/// allocates its engine buffers once. Results and metrics are
-/// bit-identical to the non-reusing form.
+/// Exactly [`try_run_trial_observed`]: `scratch` is the empty
+/// [`TrialScratch`], kept in the signature only because the repository
+/// benchmark (`twbench/`) still calls this name.
 ///
 /// # Errors
 ///
@@ -257,18 +237,9 @@ pub fn try_run_trial_observed_reusing(
     base: SeedSeq,
     trial: SeedSeq,
     obs: ObsConfig,
-    scratch: &mut TrialScratch,
+    _scratch: &mut TrialScratch,
 ) -> Result<(TrialResult, TrialMetrics), TrialError> {
-    run_trial_core(
-        cfg,
-        base,
-        trial,
-        obs.ring_capacity,
-        None,
-        scratch,
-        Dispatch::Auto,
-    )
-    .map(|(r, _, m)| (r, m))
+    try_run_trial_observed(cfg, base, trial, obs)
 }
 
 /// One continuous-monitoring window (§5: "the use of continuous
@@ -333,14 +304,12 @@ pub fn try_run_trial_windowed(
     window_instructions: u64,
 ) -> Result<(TrialResult, Vec<WindowSample>), TrialError> {
     assert!(window_instructions > 0, "window must be positive");
-    let mut scratch = TrialScratch::new();
     run_trial_core(
         cfg,
         base,
         trial,
         0,
         Some(window_instructions),
-        &mut scratch,
         Dispatch::Auto,
     )
     .map(|(r, w, _)| (r, w))
@@ -423,7 +392,6 @@ impl<'c> Engine<'c> {
         base: SeedSeq,
         trial: SeedSeq,
         initial_users: u32,
-        scratch: &mut TrialScratch,
     ) -> Result<Self, TrialError> {
         let spec = cfg.workload.spec();
         let page = tapeworm_mem::PageSize::DEFAULT;
@@ -438,13 +406,12 @@ impl<'c> Engine<'c> {
                 Box::new(ColoringAllocator::new(cfg.frames, colors, trial))
             }
         };
-        let mut os = Os::boot_reusing(
+        let mut os = Os::boot(
             OsConfig {
                 page_size: page,
                 frames: cfg.frames,
             },
             allocator,
-            scratch.vm.take().unwrap_or_default(),
         );
 
         let (trap_granule, chunk_bytes) = match cfg.model {
@@ -461,16 +428,13 @@ impl<'c> Engine<'c> {
             SimModel::Tlb(_) => (16, page.bytes()),
             SimModel::KernelTraceBuffer(c) => (c.line_bytes(), c.line_bytes()),
         };
-        let machine = Machine::new_reusing(
-            MachineConfig {
-                mem_bytes: cfg.frames as u64 * page.bytes(),
-                trap_granule,
-                clock_period: cfg.clock_period,
-                breakpoint_registers: 4,
-                write_policy: cfg.write_policy,
-            },
-            scratch.machine.take().unwrap_or_default(),
-        );
+        let machine = Machine::new(MachineConfig {
+            mem_bytes: cfg.frames as u64 * page.bytes(),
+            trap_granule,
+            clock_period: cfg.clock_period,
+            breakpoint_registers: 4,
+            write_policy: cfg.write_policy,
+        });
 
         let sim = match cfg.model {
             SimModel::Cache(c) => {
@@ -572,7 +536,7 @@ impl<'c> Engine<'c> {
             chunk_bytes,
             fast_enabled: cfg.fast_path,
             batch_enabled: cfg.miss_batch,
-            sched: std::mem::take(&mut scratch.sched).unwrap_or_default(),
+            sched: MissSchedule::default(),
             fast_runs: 0,
             fast_words: 0,
             miss_batch_flushes: 0,
@@ -586,14 +550,6 @@ impl<'c> Engine<'c> {
             engine.fork_user();
         }
         Ok(engine)
-    }
-
-    /// Returns the engine's reusable allocations to `scratch` for the
-    /// worker's next trial.
-    fn recycle(self, scratch: &mut TrialScratch) {
-        scratch.machine = Some(self.machine.into_scratch());
-        scratch.vm = Some(self.os.into_scratch());
-        scratch.sched = Some(self.sched);
     }
 
     /// Forks the next user task from the shell. The schedule forks its
@@ -871,7 +827,7 @@ impl<'c> Engine<'c> {
                             .machine
                             .breakpoints_in(va, batch * tapeworm_mem::WORD_BYTES)
                         {
-                            self.machine.retire_clean_run(batch, chunks);
+                            self.machine.retire_clean_run(chunks);
                             self.cpi_acc_milli += batch * cpi;
                             let workload_cycles = self.cpi_acc_milli / 1000;
                             self.cpi_acc_milli %= 1000;
@@ -999,12 +955,12 @@ impl<'c> Engine<'c> {
                                     cva += cw * tapeworm_mem::WORD_BYTES;
                                 }
                             }
-                            // Machine-side flush: one batched retire +
+                            // Machine-side flush: the burst's
                             // trap/breakpoint counters, one deferred
                             // advance (the budget pre-check inside
                             // service_burst guarantees it fires no
                             // tick).
-                            self.machine.retire_trapped_burst(s.words, s.chunks);
+                            self.machine.retire_trapped_burst(s.chunks);
                             self.cpi_acc_milli += s.words * cpi;
                             let burst_cycles = self.cpi_acc_milli / 1000;
                             self.cpi_acc_milli %= 1000;
@@ -1057,7 +1013,6 @@ impl<'c> Engine<'c> {
                 }
             }
 
-            self.machine.retire(w);
             self.cpi_acc_milli += w * self.cfg.base_cpi_milli;
             let workload_cycles = self.cpi_acc_milli / 1000;
             self.cpi_acc_milli %= 1000;
@@ -1259,10 +1214,9 @@ impl<'c> Engine<'c> {
     fn run_collect(
         &mut self,
         source: QuantumSource,
-        blocks: &mut Vec<QuantumBlock>,
         helper: bool,
     ) -> Result<(TrialResult, Vec<crate::system::WindowSample>, TrialMetrics), TrialError> {
-        quanta::drive(source, blocks, helper, |block| self.run_block(block))?;
+        quanta::drive(source, helper, |block| self.run_block(block))?;
 
         let (misses, raw, overhead, masked, l2_misses, data_misses) = match &self.sim {
             Sim::Cache(tw) => (
@@ -1417,8 +1371,7 @@ mod tests {
         dispatch: Dispatch,
     ) -> Result<Collected, TrialError> {
         let (base, trial) = (SeedSeq::new(1994), SeedSeq::new(7));
-        let mut scratch = TrialScratch::new();
-        run_trial_core(cfg, base, trial, ring, window, &mut scratch, dispatch)
+        run_trial_core(cfg, base, trial, ring, window, dispatch)
     }
 
     /// The helper thread builds the schedule the engine would have

@@ -149,9 +149,11 @@ pub struct FaultStats {
     pub typed_failures: u64,
     /// Trials that exhausted their retry budget.
     pub failed_trials: u64,
-    /// Worker states discarded after a contained panic: the worker
-    /// re-inits its state in place (a subprocess backend respawns its
-    /// dead worker process). Equals `panics` by construction.
+    /// Contained panics that cost their attempt's worker: an in-process
+    /// worker holds no state between trials, so it simply drops the
+    /// panicked trial's engine and retries, and a subprocess backend
+    /// respawns its dead worker process. Counted once per contained
+    /// panic, so it equals `panics` by construction.
     pub workers_respawned: u64,
     /// Total deterministic backoff units scheduled (virtual, never
     /// slept).
@@ -213,7 +215,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `attempt(a)` runs attempt `a` (0-based). `Err(FailureKind::Error)`
 /// is a typed failure; `Err(FailureKind::Panic)` is a contained panic,
 /// as is a panic unwinding out of `attempt` (caught here). A panic
-/// loses the attempt's worker state and counts once in
+/// loses whatever the attempt built and counts once in
 /// [`FaultStats::workers_respawned`]. A failed attempt with
 /// budget left charges `retry.backoff_for(a)` virtual units and
 /// retries; the last becomes a [`TrialFailure`]. Returns the outcome
@@ -261,27 +263,6 @@ pub fn attempt_trial<T>(
     (outcome, stats)
 }
 
-/// [`attempt_trial`] for a job that runs on per-worker state. `slot`
-/// keeps the state from one trial to the next and `init()` fills it
-/// when empty. An attempt takes the state out and puts it back only
-/// when the job returns, so a panic drops the state it may have
-/// corrupted and the retry starts from a fresh `init()`: the worker
-/// re-inits in place.
-pub fn attempt_trial_with_state<S, T>(
-    retry: RetryPolicy,
-    index: usize,
-    slot: &mut Option<S>,
-    init: impl Fn() -> S,
-    job: impl Fn(&mut S, usize, u32) -> Result<T, String>,
-) -> (Result<T, TrialFailure>, FaultStats) {
-    attempt_trial(retry, index, |attempt| {
-        let mut state = slot.take().unwrap_or_else(&init);
-        let result = job(&mut state, index, attempt);
-        *slot = Some(state);
-        result.map_err(FailureKind::Error)
-    })
-}
-
 /// A worker pool that evaluates independent indexed jobs and commits
 /// their results **in index order**.
 ///
@@ -291,8 +272,9 @@ pub fn attempt_trial_with_state<S, T>(
 /// * **dispatch** — workers claim the next unclaimed index from a shared
 ///   atomic counter (dynamic load balancing; a slow cell never stalls
 ///   the queue behind a fixed chunk boundary);
-/// * **execute** — each job runs independently; results flow back over an
-///   `mpsc` channel;
+/// * **execute** — each job runs independently, and a worker carries
+///   nothing from one job to the next (a trial builds and drops its
+///   own engine); results flow back over an `mpsc` channel;
 /// * **commit** — the calling thread holds completions in an ordered
 ///   map and releases them strictly in index order, so observable
 ///   output is bit-identical for any worker count.
@@ -401,57 +383,25 @@ impl TrialScheduler {
         n: usize,
         retry: RetryPolicy,
         job: F,
-        commit: C,
+        mut commit: C,
     ) -> FaultStats
     where
         T: Send,
         F: Fn(usize, u32) -> Result<T, String> + Sync,
         C: FnMut(usize, Result<T, TrialFailure>),
     {
-        self.run_committed_resilient_stateful(n, retry, || (), |(), i, a| job(i, a), commit)
-    }
-
-    /// [`run_committed_resilient`](Self::run_committed_resilient) with
-    /// per-worker state.
-    ///
-    /// Each worker (the calling thread, on the serial path) creates its
-    /// state with `init()` and passes it to every job it runs. This is
-    /// the hook for reusing expensive per-trial allocations — a
-    /// worker's scratch buffers survive from one trial to the next
-    /// instead of being rebuilt. A panic may leave the state arbitrarily
-    /// corrupted, so it is dropped and the worker re-`init()`s before it
-    /// retries (see [`attempt_trial_with_state`]); typed errors retry on
-    /// the same state, exactly like a healthy next trial.
-    ///
-    /// The state must not affect job results: which worker (and hence
-    /// which state instance) runs an index depends on dynamic load
-    /// balancing. Bit-identical output for every thread count therefore
-    /// requires `job(&mut fresh, i, a) == job(&mut reused, i, a)` — true
-    /// for scratch allocations by construction, and pinned for the trial
-    /// engine by the fast-path differential tests.
-    pub fn run_committed_resilient_stateful<S, T, I, F, C>(
-        &self,
-        n: usize,
-        retry: RetryPolicy,
-        init: I,
-        job: F,
-        mut commit: C,
-    ) -> FaultStats
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, u32) -> Result<T, String> + Sync,
-        C: FnMut(usize, Result<T, TrialFailure>),
-    {
+        let run = |index: usize| {
+            attempt_trial(retry, index, |attempt| {
+                job(index, attempt).map_err(FailureKind::Error)
+            })
+        };
         let mut stats = FaultStats::default();
         let workers = self.threads.min(n);
         if workers <= 1 {
             // The serial path is the reference semantics: compute and
-            // commit in one loop on one long-lived state.
-            let mut state = None;
+            // commit in one loop.
             for index in 0..n {
-                let (outcome, delta) =
-                    attempt_trial_with_state(retry, index, &mut state, &init, &job);
+                let (outcome, delta) = run(index);
                 stats.merge(&delta);
                 commit(index, outcome);
             }
@@ -463,18 +413,14 @@ impl TrialScheduler {
             let (tx, rx) = mpsc::channel();
             for _ in 0..workers {
                 let tx = tx.clone();
-                let (cursor, init, job) = (&cursor, &init, &job);
-                scope.spawn(move || {
-                    let mut state = None;
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        let done = attempt_trial_with_state(retry, index, &mut state, init, job);
-                        if tx.send((index, done)).is_err() {
-                            break;
-                        }
+                let (cursor, run) = (&cursor, &run);
+                scope.spawn(move || loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= n {
+                        break;
+                    }
+                    if tx.send((index, run(index))).is_err() {
+                        break;
                     }
                 });
             }

@@ -14,9 +14,6 @@
 //!   search on every address, replace on miss, with per-address cycle
 //!   costs. Unlike the trap-driven simulator it sees every reference,
 //!   so it can maintain true LRU.
-//! * [`SetSampleFilter`] — software set-sample filtering of traces,
-//!   with the pre-processing cost the paper contrasts against
-//!   Tapeworm's free hardware filtering.
 //! * [`StackDistance`] — a Mattson single-pass stack simulator that
 //!   yields miss counts for *all* fully-associative LRU sizes at once
 //!   (the classic trace-driven trick cited via [Mattson70, Sugumar93,
@@ -27,14 +24,12 @@
 
 mod buffer;
 mod cache2000;
-mod filter;
 mod pixie;
 mod stackdist;
 mod trace;
 
 pub use buffer::{KernelTraceBuffer, KernelTraceBufferConfig};
 pub use cache2000::{Cache2000, Cache2000Config, TracePolicy};
-pub use filter::SetSampleFilter;
 pub use pixie::{Pixie, PixieError};
 pub use stackdist::StackDistance;
 pub use trace::Trace;

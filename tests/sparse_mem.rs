@@ -63,8 +63,8 @@ fn flatten(cells: &[tapeworm::sim::TrialSummary]) -> Vec<&TrialResult> {
 }
 
 /// For every simulator mode, a sweep's `TrialResult`s, counters (the
-/// sparse allocation tallies included: scratch reuse across a worker's
-/// trials must not leak chunk state) and phase cycles are identical at
+/// sparse allocation tallies included: no chunk state may leak from one
+/// of a worker's trials to the next) and phase cycles are identical at
 /// 1, 4 and 8 worker threads.
 #[test]
 fn sparse_backing_is_bit_identical_across_thread_counts() {
