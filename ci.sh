@@ -5,11 +5,12 @@
 #   1. Formatting: `cargo fmt --check` over the whole workspace.
 #   2. Release build of the whole workspace.
 #   3. Full test suite: unit, doc, the per-crate suites under
-#      crates/*/tests/, and the 13 cross-crate suites in tests/
+#      crates/*/tests/, and the 14 cross-crate suites in tests/
 #      (determinism, exact_hardware, failure_injection, fast_path,
-#      full_system, invariants, miss_batch, miss_schedule,
-#      paper_claims, planner, server_e2e, sparse_mem,
-#      trace_differential).
+#      full_system, invariants, miss_batch, miss_schedule, paper_claims,
+#      planner, server_e2e, sparse_mem, stepwise_differential,
+#      trace_differential). fast_path, miss_batch and miss_schedule
+#      share the stepwise differential suite in tests/stepwise/mod.rs.
 #   3b. The golden and determinism suites (tests/determinism.rs,
 #      tests/full_system.rs) again under `taskset -c 0`: with one CPU
 #      no trial has a spare core, so the quantum schedule is built
@@ -19,6 +20,9 @@
 #   4b. Clippy is a gate: `cargo clippy --workspace --all-targets` with
 #      warnings as errors. SKIPs explicitly where clippy is not
 #      installed.
+#   4c. The API docs build without a warning: `cargo doc --workspace
+#      --no-deps` with `RUSTDOCFLAGS="-D warnings"`, so a broken or
+#      private intra-doc link fails.
 #   5. Gate run of the throughput harness: results/BENCH.json must
 #      exist, carry the keys downstream tooling reads, and its
 #      single-thread refs/sec must be within 15% of the checked-in
@@ -72,6 +76,14 @@
 #      file under crates/, src/ or tests/. Every trial builds and drops
 #      its own engine; a buffer handed from one trial to the next is
 #      state that can leak between them.
+#   9e. One engine switch: `batch_enabled`, `pub miss_batch:` and
+#      `.miss_batch` (as a whole word) appear in no `.rs` file under
+#      crates/, src/ or tests/, and `with_miss_batch(` and
+#      `with_miss_schedule(` appear only in crates/sim/src/config.rs
+#      and tests/stepwise_differential.rs. `SystemConfig::fast_path`
+#      is the one switch, between the trap-driven engine and the
+#      stepwise oracle; a test that selects a third engine mode can
+#      not come back.
 #  10. Sweep-planner differential gate: specs/ci_planner.toml (pruned)
 #      and specs/ci_planner_full.toml (the identical grid, planner off)
 #      drained through the service. The pruned run must actually save
@@ -120,6 +132,9 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
   echo "ci.sh: clippy gate SKIPPED: cargo clippy is not installed on this toolchain"
 fi
+
+echo "=== tier 2: API docs (warnings are errors) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
 echo "=== tier 2: perf_throughput gate run ==="
 ./target/release/perf_throughput --gate
@@ -396,6 +411,18 @@ echo "=== tier 2: fresh engines ==="
 if grep -rnE --include='*.rs' 'new_reusing|boot_reusing|into_scratch|with_storage|into_storage|_stateful' \
   crates src tests; then
   echo "ci.sh: engine-reuse protocol names in the sources (above)" >&2; exit 1;
+fi
+
+echo "=== tier 2: one engine switch ==="
+# A second switch once selected a fast path with per-miss service that
+# no program ran. Setters kept for the benchmark's stepwise oracle may
+# be called only by their definition and the differential suite.
+if grep -rnE --include='*.rs' 'batch_enabled|pub miss_batch:|\.miss_batch\b' crates src tests; then
+  echo "ci.sh: a second engine switch in the sources (above)" >&2; exit 1;
+fi
+if grep -rnE --include='*.rs' 'with_miss_batch\(|with_miss_schedule\(' crates src tests \
+  | grep -vE '^(crates/sim/src/config\.rs|tests/stepwise_differential\.rs):'; then
+  echo "ci.sh: with_miss_batch( or with_miss_schedule( outside config.rs and the differential suite (above)" >&2; exit 1;
 fi
 
 echo "=== tier 2: sweep-planner differential gate ==="

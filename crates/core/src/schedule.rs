@@ -12,8 +12,8 @@
 //! words left and the tick budget in closed form. Every other geometry serves each granule with
 //! [`crate::Tapeworm::handle_miss`]'s own clear and insert-and-re-arm
 //! steps. Nothing is cached between bursts, so the outcome is the
-//! stepwise outcome by construction (pinned by `tests/miss_batch.rs`
-//! and the core twin differential in
+//! stepwise outcome by construction (pinned by
+//! `tests/stepwise/mod.rs` and the core twin differential in
 //! `crates/core/tests/burst_differential.rs`).
 
 use tapeworm_machine::Component;

@@ -462,7 +462,7 @@ impl Tapeworm {
     /// outcome (counters, cycles, trap transitions, set state, victims,
     /// random draws) is bit-identical to stepwise miss handling;
     /// `crates/core/tests/burst_differential.rs` and
-    /// `tests/miss_batch.rs` pin this.
+    /// `tests/stepwise/mod.rs` pin this.
     pub fn service_burst(
         &mut self,
         traps: &mut TrapMap,

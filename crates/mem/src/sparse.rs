@@ -143,8 +143,8 @@ impl<T: SparseElem> SparseVec<T> {
 
     /// `true` when chunk `c` still shares the canonical fill chunk
     /// (every element in it reads `fill`). A materialized chunk whose
-    /// content happens to equal the fill reads `false` until the next
-    /// [`SparseVec::reset`].
+    /// content happens to equal the fill reads `false` for the rest of
+    /// the vector's life.
     #[inline]
     pub fn chunk_is_canonical(&self, c: usize) -> bool {
         self.table[c] == 0
@@ -212,14 +212,6 @@ impl<T: SparseElem> SparseVec<T> {
         self.live_chunks += 1;
         self.chunk_faults += 1;
         slot
-    }
-
-    /// Resets every element to `fill`, dropping all private chunks
-    /// back to the canonical chunk.
-    pub fn reset(&mut self) {
-        self.table.fill(0);
-        self.arena.truncate(self.chunk);
-        self.live_chunks = 0;
     }
 
     /// Current allocation counters.
@@ -359,19 +351,5 @@ mod tests {
         a.store(10, 0); // chunk now materialized but all-zero
         assert_eq!(a.stats().chunks_allocated, 1);
         assert_eq!(a, b, "materialized-all-fill chunk equals canonical");
-    }
-
-    #[test]
-    fn reset_returns_to_all_fill() {
-        let mut v: SparseVec<u64> = SparseVec::new(1 << 16, 0);
-        for i in 0..100 {
-            v.store(i * 600, 1);
-        }
-        let faults = v.stats().chunk_faults;
-        v.reset();
-        assert_eq!(v.stats().chunks_allocated, 0);
-        assert_eq!(v.stats().chunk_faults, faults, "faults are lifetime");
-        assert_eq!(v.load(600), 0);
-        assert_eq!(v, SparseVec::new(1 << 16, 0));
     }
 }

@@ -549,15 +549,6 @@ impl TrapMap {
         })
     }
 
-    /// Clears every trap, dropping every materialized chunk back to the
-    /// shared canonical chunk.
-    pub fn clear_all(&mut self) {
-        self.clear_events += self.count;
-        self.bits.reset();
-        self.frame_counts.reset();
-        self.count = 0;
-    }
-
     /// Lifetime clear→set granule transitions (`tw_set_trap` events).
     pub fn set_events(&self) -> u64 {
         self.set_events
@@ -644,15 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_all_resets() {
-        let mut t = TrapMap::new(256, 16);
-        t.set_range(PhysAddr::new(0), 256);
-        t.clear_all();
-        assert_eq!(t.count(), 0);
-        assert!(!t.is_trapped(PhysAddr::new(0)));
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_granule_panics() {
         let _ = TrapMap::new(100, 10);
@@ -667,7 +649,7 @@ mod tests {
         t.clear_range(PhysAddr::new(0), 32); // 2 transitions
         t.clear_range(PhysAddr::new(0), 32);
         assert_eq!(t.clear_events(), 2);
-        t.clear_all(); // remaining 2 armed granules
+        t.clear_range(PhysAddr::new(0), 256); // remaining 2 armed granules
         assert_eq!(t.clear_events(), 4);
         assert_eq!(t.set_events(), 4);
     }
@@ -725,7 +707,7 @@ mod tests {
         assert!(!t.frame_clean(PhysAddr::new(4096 + 2000)));
         t.clear_range(PhysAddr::new(4096), 32);
         assert_eq!(t.frame_trapped(PhysAddr::new(4096)), 2);
-        t.clear_all();
+        t.clear_range(PhysAddr::new(0), 16 * 4096);
         assert!(t.frame_clean(PhysAddr::new(4096)));
         assert_frame_counts_match(&t, 16 * 4096);
     }
@@ -944,8 +926,9 @@ mod tests {
     }
 
     /// Property: after an arbitrary interleaving of `set_range`,
-    /// `clear_range`, `set_range_filtered` (sampling) and `clear_all`,
-    /// every per-frame count equals a recount from the raw bitmap.
+    /// `clear_range`, `set_range_filtered` (sampling) and whole-map
+    /// clears, every per-frame count equals a recount from the raw
+    /// bitmap.
     /// SplitMix64-driven so the sequence is deterministic.
     #[test]
     fn frame_counts_always_equal_bitmap_recount() {
@@ -970,7 +953,7 @@ mod tests {
                         let m = 1 + next() % 7;
                         t.set_range_filtered(pa, size, |g| g % m == 0);
                     }
-                    _ => t.clear_all(),
+                    _ => t.clear_range(PhysAddr::new(0), mem_bytes),
                 }
                 assert_frame_counts_match(&t, mem_bytes);
             }
@@ -1077,7 +1060,7 @@ mod tests {
                         model.apply(model.range(pa.raw(), size), false);
                     }
                     _ => {
-                        map.clear_all();
+                        map.clear_range(PhysAddr::new(0), mem_bytes);
                         model.apply(0..model.trapped.len(), false);
                     }
                 }
@@ -1120,11 +1103,9 @@ mod tests {
             "one trap must not commit more than a few chunks, got {stats:?}"
         );
         assert!(stats.chunk_faults >= 1);
-        // Clearing every trap returns the backing to fully shared.
+        // Clearing the one trap leaves none armed.
         t.clear_range(far, 4096);
         assert_eq!(t.recount(), 0);
-        t.clear_all();
-        assert_eq!(t.sparse_stats().chunks_allocated, 0);
     }
 
     /// Bulk clears over untouched memory must not materialize chunks:
@@ -1133,7 +1114,6 @@ mod tests {
     fn clearing_untouched_memory_allocates_nothing() {
         let mut t = TrapMap::new(1u64 << 30, 16);
         t.clear_range(PhysAddr::new(0), 1u64 << 30);
-        t.clear_all();
         assert_eq!(t.sparse_stats().chunks_allocated, 0);
         assert_eq!(t.sparse_stats().chunk_faults, 0);
     }

@@ -13,12 +13,12 @@
 //! Translation sits on the hit path of every simulated reference, so
 //! page tables are flat and index-addressed rather than hashed:
 //!
-//! * Each task owns a [`PageTable`]: a dense `Vec` of PTEs indexed by
+//! * Each task owns a `PageTable`: a dense `Vec` of PTEs indexed by
 //!   VPN offset from the table's base, plus a small sorted overflow
 //!   list for mappings too far away to widen the dense window over
-//!   (bounded by [`MAX_DENSE_SPAN`]). Real tasks touch one compact
-//!   text+data range, so in practice every lookup is one bounds check
-//!   and one array load.
+//!   (bounded by `MAX_DENSE_SPAN`, 2^16 pages). Real tasks touch one
+//!   compact text+data range, so in practice every lookup is one
+//!   bounds check and one array load.
 //! * A direct-mapped software translation cache
 //!   ([`Vm::translate_cached`]) short-circuits the walk entirely for
 //!   repeat translations. Entries are tagged with `(tid, vpn)` (so no

@@ -111,7 +111,10 @@ pub struct SweepSpec {
     pub alloc: AllocPolicy,
     /// Miss-handler cost model.
     pub cost: CostKind,
-    /// Whether the resident-run fast path is enabled.
+    /// The engine switch, `SystemConfig::fast_path`: `true` (the
+    /// default) runs the trap-driven engine (resident-run fast path and
+    /// burst service), `false` the fully stepwise oracle. Both give
+    /// bit-identical results.
     pub fast_path: bool,
     /// Sweep execution plan: `full` (ground truth everywhere, the
     /// default) or `pruned` (model-guided planner). The service's

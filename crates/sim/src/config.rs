@@ -155,19 +155,16 @@ pub struct SystemConfig {
     /// DECstation 5000/200 behaviour (stores destroy traps silently);
     /// `AllocateOnWrite` is required for faithful data-cache counts.
     pub write_policy: tapeworm_mem::WritePolicy,
-    /// Whether the engine may retire trap-free instruction runs through
-    /// the batched resident-run fast path. The fast path is
-    /// bit-identical to stepwise execution (pinned by differential
-    /// tests); disabling it forces the per-chunk slow path.
+    /// The engine switch. On, the engine retires trap-free instruction
+    /// runs through the resident-run fast path and serves runs of
+    /// consecutive trapped chunks as one burst through
+    /// `Tapeworm::service_burst` (one clock advance per burst, on the
+    /// single cache and the split I-side). Off, it runs fully
+    /// stepwise: per-chunk dispatch and one `handle_miss` per miss.
+    /// Both give bit-identical results (pinned by
+    /// `tests/stepwise/mod.rs`); the stepwise engine is the
+    /// oracle.
     pub fast_path: bool,
-    /// Whether the engine may service a run of consecutive trapped
-    /// chunks as one burst through `Tapeworm::service_burst` (one
-    /// clock advance per burst instead of one per miss), on the single
-    /// cache and the split I-side with any indexing, replacement,
-    /// associativity or set sampling. Bit-identical to stepwise miss
-    /// handling (pinned by differential tests); disabling it forces
-    /// per-miss accounting.
-    pub miss_batch: bool,
 }
 
 impl SystemConfig {
@@ -190,7 +187,6 @@ impl SystemConfig {
             dilate: true,
             write_policy: tapeworm_mem::WritePolicy::NoAllocateOnWrite,
             fast_path: true,
-            miss_batch: true,
         }
     }
 
@@ -253,22 +249,27 @@ impl SystemConfig {
         self
     }
 
-    /// Enables or disables the resident-run fast path.
+    /// Sets the engine switch, [`SystemConfig::fast_path`]: `false`
+    /// runs fully stepwise.
     pub fn with_fast_path(mut self, enabled: bool) -> Self {
         self.fast_path = enabled;
         self
     }
 
-    /// Enables or disables batched miss handling.
+    /// `false` runs fully stepwise, like `with_fast_path(false)`;
+    /// `true` leaves the config as it is (it cannot turn the fast path
+    /// back on). Burst service has no switch of its own. Kept only for
+    /// the repository benchmark's stepwise oracle
+    /// (`twbench/src/trials.rs::oracle`); drop it with the next
+    /// benchmark change.
     pub fn with_miss_batch(mut self, enabled: bool) -> Self {
-        self.miss_batch = enabled;
+        self.fast_path &= enabled;
         self
     }
 
-    /// Does nothing: every burst takes set-state service, so there is
-    /// no second burst path left to select. Kept so existing callers
-    /// still compile; [`SystemConfig::with_miss_batch`] is the one
-    /// switch for burst service.
+    /// Does nothing. Kept only for the repository benchmark's stepwise
+    /// oracle (`twbench/src/trials.rs::oracle`); drop it with the next
+    /// benchmark change.
     pub fn with_miss_schedule(self, _enabled: bool) -> Self {
         self
     }

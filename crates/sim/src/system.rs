@@ -357,10 +357,8 @@ struct Engine<'c> {
     cpi_acc_milli: u64,
     in_interrupt: bool,
     chunk_bytes: u64,
-    /// Resident-run fast path enabled (`SystemConfig::fast_path`).
+    /// Fast path and burst service enabled (`SystemConfig::fast_path`).
     fast_enabled: bool,
-    /// Burst service enabled (`SystemConfig::miss_batch`).
-    batch_enabled: bool,
     /// Burst-service scratch: the last burst's victims.
     sched: MissSchedule,
     /// Clean runs retired through the fast path.
@@ -535,7 +533,6 @@ impl<'c> Engine<'c> {
             in_interrupt: false,
             chunk_bytes,
             fast_enabled: cfg.fast_path,
-            batch_enabled: cfg.miss_batch,
             sched: MissSchedule::default(),
             fast_runs: 0,
             fast_words: 0,
@@ -840,7 +837,7 @@ impl<'c> Engine<'c> {
                             continue;
                         }
                     }
-                } else if self.batch_enabled {
+                } else {
                     // Batched miss burst: the probe point sits short of
                     // a trapped granule, so this chunk (and typically a
                     // run of successors — cold pages trap every line)
